@@ -56,40 +56,52 @@ def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary)
     return directory
 
 
+def _read_manifest(path: Path, kind: str, expected_format: str) -> dict:
+    """Parse a checkpoint manifest; any defect is a ``CheckpointError``."""
+    if not path.exists():
+        raise CheckpointError(f"no {kind} manifest at {path}")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise CheckpointError(f"{path}: invalid JSON ({err})") from err
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
+    if manifest.get("format") != expected_format:
+        raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
+    return manifest
+
+
 def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / MODEL_MANIFEST
-    if not manifest_path.exists():
-        raise CheckpointError(f"no model manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CheckpointError(f"{manifest_path}: invalid JSON ({err})") from err
-    if manifest.get("format") != _MODEL_FORMAT:
-        raise CheckpointError(
-            f"{manifest_path}: unsupported format {manifest.get('format')!r}"
-        )
+    manifest = _read_manifest(manifest_path, "model", _MODEL_FORMAT)
     try:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ConfigError, KeyError) as err:
         raise CheckpointError(f"{manifest_path}: bad config ({err})") from err
 
     expected = parameter_shapes(config)
-    entries = manifest.get("params", [])
-    listed = [entry["name"] for entry in entries]
-    if listed != list(expected):
+    try:
+        entries = [
+            (entry["name"], tuple(entry["shape"])) for entry in manifest.get("params", [])
+        ]
+    except KeyError as err:
+        raise CheckpointError(f"{manifest_path}: a params entry is missing {err}") from err
+    except TypeError as err:
+        raise CheckpointError(f"{manifest_path}: malformed params entry ({err})") from err
+    if [name for name, _ in entries] != list(expected):
         raise CheckpointError(
             f"{manifest_path}: parameter list does not match the config's layout"
         )
-    for entry in entries:
-        if tuple(entry["shape"]) != expected[entry["name"]]:
+    for name, shape in entries:
+        if shape != expected[name]:
             raise CheckpointError(
-                f"{manifest_path}: parameter {entry['name']} has shape "
-                f"{tuple(entry['shape'])}, config requires {expected[entry['name']]}"
+                f"{manifest_path}: parameter {name} has shape "
+                f"{shape}, config requires {expected[name]}"
             )
 
     raw = (directory / PARAMS_FILE).read_bytes()
-    total = sum(int(np.prod(entry["shape"])) for entry in entries)
+    total = sum(int(np.prod(shape)) for _, shape in entries)
     if len(raw) != total * _PARAM_DTYPE.itemsize:
         raise CheckpointError(
             f"{directory / PARAMS_FILE}: has {len(raw)} bytes, "
@@ -98,11 +110,10 @@ def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
     flat = np.frombuffer(raw, dtype=_PARAM_DTYPE)
     params: dict[str, Tensor] = {}
     offset = 0
-    for entry in entries:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         count = int(np.prod(shape))
         data = flat[offset : offset + count].reshape(shape).astype(np.float32)
-        params[entry["name"]] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data, requires_grad=True)
         offset += count
 
     vocab = Vocabulary.load(directory / manifest.get("vocab_file", VOCAB_FILE))
@@ -141,18 +152,20 @@ def save_ensemble(
 def load_ensemble(directory: str | Path) -> tuple[EnsembleModel, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / ENSEMBLE_MANIFEST
-    if not manifest_path.exists():
-        raise CheckpointError(f"no ensemble manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != _ENSEMBLE_FORMAT:
-        raise CheckpointError(
-            f"{manifest_path}: unsupported format {manifest.get('format')!r}"
-        )
+    manifest = _read_manifest(manifest_path, "ensemble", _ENSEMBLE_FORMAT)
     if manifest.get("voting") not in VOTING_RULES:
         raise CheckpointError(f"{manifest_path}: unknown voting rule {manifest.get('voting')!r}")
+    try:
+        member_dirs = manifest["members"]
+        n_members = manifest["n_members"]
+        shuffle_seeds = list(manifest["member_shuffle_seeds"])
+    except KeyError as err:
+        raise CheckpointError(f"{manifest_path}: manifest is missing {err}") from err
+    except TypeError as err:
+        raise CheckpointError(f"{manifest_path}: bad member_shuffle_seeds ({err})") from err
     members = []
     vocab: Vocabulary | None = None
-    for member_dir in manifest["members"]:
+    for member_dir in member_dirs:
         member, member_vocab = load_model(directory / member_dir)
         if vocab is None:
             vocab = member_vocab
@@ -161,19 +174,22 @@ def load_ensemble(directory: str | Path) -> tuple[EnsembleModel, Vocabulary]:
         members.append(member)
     if vocab is None:
         raise CheckpointError(f"{manifest_path}: lists no members")
-    if len(members) != manifest["n_members"]:
+    if len(members) != n_members:
         raise CheckpointError(
-            f"{manifest_path}: n_members={manifest['n_members']} but "
+            f"{manifest_path}: n_members={n_members} but "
             f"{len(members)} member checkpoints listed"
         )
-    config = EnsembleConfig(
-        member_model_config=members[0].config,
-        n_members=manifest["n_members"],
-        shared_init=manifest.get("shared_init", True),
-        member_shuffle_seeds=list(manifest["member_shuffle_seeds"]),
-        voting=manifest["voting"],
-    )
-    return EnsembleModel(members, config), vocab
+    try:
+        config = EnsembleConfig(
+            member_model_config=members[0].config,
+            n_members=n_members,
+            shared_init=manifest.get("shared_init", True),
+            member_shuffle_seeds=shuffle_seeds,
+            voting=manifest["voting"],
+        )
+        return EnsembleModel(members, config), vocab
+    except ConfigError as err:
+        raise CheckpointError(f"{manifest_path}: {err}") from err
 
 
 def is_ensemble_checkpoint(directory: str | Path) -> bool:

@@ -180,8 +180,10 @@ class ClassifierModel:
         """One post-layer-norm residual block over (B, S, H) activations.
 
         Attention scores are scaled by 1/sqrt(head_dim); PAD key positions
-        receive a -1e9 additive bias before softmax, so they carry
-        negligible weight.
+        receive a -1e9 additive bias before softmax, so in float32 they
+        carry exactly zero weight.  That is what lets ``trim_padding`` cut a
+        batch to its longest real sequence before it reaches the encoder
+        without changing any result.
         """
         cfg = self.config
         p = self.params
@@ -232,8 +234,8 @@ class ClassifierModel:
     # -- batched inference ------------------------------------------------
 
     def logits(self, examples: list[EncodedExample]) -> T.Tensor:
-        ids, segs, mask = stack_examples(examples)
-        return self.forward(ids, segs, mask)
+        """Class logits for a list of examples, trimmed to its longest one."""
+        return self.forward(*trim_padding(*stack_examples(examples)))
 
     def predict(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
         """Predicted class indices, argmax of the logits."""
@@ -262,6 +264,23 @@ def stack_examples(
     segs = np.asarray([e.segment_ids for e in examples], dtype=np.int64)
     mask = np.asarray([e.attention_mask for e in examples], dtype=np.int64)
     return ids, segs, mask
+
+
+def trim_padding(
+    token_ids: np.ndarray, segment_ids: np.ndarray, attention_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the trailing columns that are padding in every row of a batch.
+
+    The batch is cut just past the last column any row attends to, so
+    interior zeros of the mask stay.  The cut is exact: PAD keys get zero
+    attention weight and PAD rows never reach [CLS], so logits, losses and
+    gradients are those of the full-width batch (up to float rounding, as
+    BLAS blocks differently on smaller matrices).  A mask with no nonzero
+    entry is returned at full width.
+    """
+    used = np.asarray(attention_mask).any(axis=0)
+    width = len(used) - int(np.argmax(used[::-1]))
+    return token_ids[:, :width], segment_ids[:, :width], attention_mask[:, :width]
 
 
 def example_labels(examples: list[EncodedExample]) -> np.ndarray:
@@ -352,7 +371,8 @@ def mlm_pretrain_loss(batch: MaskedBatch, model: ClassifierModel) -> T.Tensor:
         return T.Tensor(np.zeros((), dtype=np.float32))
     segment_ids = np.zeros_like(batch.input_ids)
     attention_mask = (batch.input_ids != PAD_ID).astype(np.int64)
-    hidden = model.encode(batch.input_ids, segment_ids, attention_mask)
+    # targets sit on content tokens, which are never PAD, so they survive the trim
+    hidden = model.encode(*trim_padding(batch.input_ids, segment_ids, attention_mask))
     rows = batch.target_positions[:, 0]
     cols = batch.target_positions[:, 1]
     picked = hidden[rows, cols]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, TrainingError
-from .model import ClassifierModel, example_labels, stack_examples
+from .model import ClassifierModel, example_labels, stack_examples, trim_padding
 from .tokenizer import EncodedExample
 
 
@@ -157,7 +157,10 @@ def train(
 
     Each epoch reshuffles the batch order from (shuffle_seed, epoch index),
     runs forward / cross-entropy / backward / Adam per batch (the last
-    partial batch is kept), then measures validation accuracy.  Wall-clock
+    partial batch is kept), then measures validation accuracy.  Every batch
+    is trimmed to its longest real sequence before the forward pass (see
+    ``trim_padding``).  A batch loss that is not finite stops training
+    with a ``TrainingError`` before the update is applied.  Wall-clock
     time covers this call only.  When ``log_stream`` is given, one
     structured ``key=value`` line is written per epoch.
     """
@@ -182,8 +185,10 @@ def train(
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             picked = order[start : start + config.batch_size]
             try:
-                logits = model.forward(ids[picked], segs[picked], mask[picked])
+                logits = model.forward(*trim_padding(ids[picked], segs[picked], mask[picked]))
                 loss = T.cross_entropy(logits, labels[picked])
+                if not np.isfinite(loss.data):
+                    raise TrainingError(f"loss is {loss.item()}, training diverged")
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()

@@ -31,6 +31,16 @@ def setup():
     return vocab, config, model
 
 
+def make_ensemble(config, n_members=2):
+    members = [init_model(config) for _ in range(n_members)]
+    ens_config = EnsembleConfig(
+        member_model_config=config,
+        n_members=n_members,
+        member_shuffle_seeds=list(range(1, n_members + 1)),
+    )
+    return EnsembleModel(members, ens_config)
+
+
 def random_examples(vocab, count, rng):
     tokens = [t for t in vocab.id_to_token[5:]]
     out = []
@@ -96,6 +106,28 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="manifest"):
             load_model(tmp_path / "nowhere")
 
+    @pytest.mark.parametrize("key", ["name", "shape"])
+    def test_params_entry_missing_key_rejected(self, tmp_path, setup, key):
+        vocab, config, model = setup
+        save_model(model, tmp_path / "ckpt", vocab)
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["params"][1][key]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"manifest.json: .*'{key}'"):
+            load_model(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "invalid JSON"), ("[]", "manifest is not a JSON object")],
+    )
+    def test_unparsable_manifest_rejected(self, tmp_path, setup, text, message):
+        vocab, config, model = setup
+        save_model(model, tmp_path / "ckpt", vocab)
+        (tmp_path / "ckpt" / "manifest.json").write_text(text)
+        with pytest.raises(CheckpointError, match=f"manifest.json: {message}"):
+            load_model(tmp_path / "ckpt")
+
 
 class TestEnsembleCheckpoint:
     def test_round_trip(self, tmp_path, setup):
@@ -122,14 +154,28 @@ class TestEnsembleCheckpoint:
 
     def test_member_count_mismatch_rejected(self, tmp_path, setup):
         vocab, config, model = setup
-        members = [init_model(config) for _ in range(2)]
-        ens_config = EnsembleConfig(
-            member_model_config=config, n_members=2, member_shuffle_seeds=[1, 2]
-        )
-        save_ensemble(EnsembleModel(members, ens_config), tmp_path / "ens", vocab)
+        save_ensemble(make_ensemble(config), tmp_path / "ens", vocab)
         manifest_path = tmp_path / "ens" / "ensemble.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["members"] = manifest["members"][:1]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="n_members"):
+            load_ensemble(tmp_path / "ens")
+
+    @pytest.mark.parametrize("key", ["members", "n_members", "member_shuffle_seeds"])
+    def test_missing_manifest_key_rejected(self, tmp_path, setup, key):
+        vocab, config, model = setup
+        save_ensemble(make_ensemble(config), tmp_path / "ens", vocab)
+        manifest_path = tmp_path / "ens" / "ensemble.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"ensemble.json: manifest is missing '{key}'"):
+            load_ensemble(tmp_path / "ens")
+
+    def test_invalid_json_rejected(self, tmp_path, setup):
+        vocab, config, model = setup
+        save_ensemble(make_ensemble(config), tmp_path / "ens", vocab)
+        (tmp_path / "ens" / "ensemble.json").write_text("{not json")
+        with pytest.raises(CheckpointError, match="ensemble.json: invalid JSON"):
             load_ensemble(tmp_path / "ens")

@@ -4,6 +4,7 @@ training split only, checkpoint evaluation self-consistency, and the
 metrics calculator."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,38 @@ class TestEvalCommand:
         code = main(["eval", str(run_dir / "checkpoints" / "absent"), str(run_dir / "val.csv")])
         assert code == 1
         assert "absent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest, key_path",
+        [
+            ("ensemble.json", ["members"]),
+            ("ensemble.json", ["n_members"]),
+            ("ensemble.json", ["member_shuffle_seeds"]),
+            ("member-00/manifest.json", ["params", 0, "name"]),
+            ("member-00/manifest.json", ["params", 0, "shape"]),
+            ("ensemble.json", None),  # not JSON at all
+        ],
+    )
+    def test_defective_manifest_exits_one(
+        self, completed_run, tmp_path, capsys, manifest, key_path
+    ):
+        _, run_dir = completed_run
+        checkpoint = tmp_path / "ensemble"
+        shutil.copytree(run_dir / "checkpoints" / "ensemble-3x1", checkpoint)
+        manifest_path = checkpoint / manifest
+        if key_path is None:
+            manifest_path.write_text("{not json")
+        else:
+            doc = json.loads(manifest_path.read_text())
+            holder = doc
+            for key in key_path[:-1]:
+                holder = holder[key]
+            del holder[key_path[-1]]
+            manifest_path.write_text(json.dumps(doc))
+        code = main(["eval", str(checkpoint), str(run_dir / "val.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest_path) in err
 
     def test_text_output_lists_metrics(self, completed_run, capsys):
         _, run_dir = completed_run

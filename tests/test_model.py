@@ -3,11 +3,14 @@ counts, embedding sums, a step-by-step scalar recomputation of one
 encoder layer, [CLS]-head classification properties, padding isolation,
 and the masked-token corruption procedure."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import minibert.model as model_module
+from minibert import tensor as T
 from minibert.errors import ConfigError
 from minibert.model import (
     MaskedBatch,
@@ -18,6 +21,7 @@ from minibert.model import (
     mlm_pretrain_loss,
     parameter_count,
     stack_examples,
+    trim_padding,
 )
 from minibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode
 from _oracles import scalar_gelu, scalar_layer_norm, scalar_softmax
@@ -46,7 +50,6 @@ class TestInit:
             assert np.array_equal(p.data, b.params[name].data), name
 
     def test_different_seed_differs(self):
-        import dataclasses
         a = init_model(TINY)
         b = init_model(dataclasses.replace(TINY, init_seed=99))
         assert any(
@@ -67,7 +70,6 @@ class TestInit:
         assert sum(p.size for p in model.parameters()) == expected
 
     def test_zero_scale_gives_zero_weights(self):
-        import dataclasses
         model = init_model(dataclasses.replace(TINY, init_seed=1, init_scale=0.0))
         for name, p in model.named_parameters():
             if name.endswith("_g"):
@@ -76,7 +78,6 @@ class TestInit:
                 assert np.array_equal(p.data, np.zeros_like(p.data)), name
 
     def test_depth_count_monotonic_with_constant_delta(self):
-        import dataclasses
         counts = [
             parameter_count(dataclasses.replace(TINY, num_layers=n)) for n in (1, 3, 12)
         ]
@@ -173,7 +174,6 @@ def scalar_encoder_layer(x, mask, params, num_heads, prefix="layer0."):
 
 class TestEncoderLayer:
     def test_single_position_attention_weight_is_exactly_one(self):
-        import dataclasses
         model = init_model(dataclasses.replace(TINY, max_seq_len=1))
         x = model.embed(np.array([[2]]), np.array([[0]]))
         _, weights = model.encoder_layer(x, np.array([[1]]), 0, return_attention=True)
@@ -247,7 +247,6 @@ class TestForwardClassify:
         assert np.array_equal(first, second)
 
     def test_forward_and_backward_stay_finite(self, vocab):
-        import minibert.tensor as T
         model = init_model(TINY)
         examples = batch_for(["alpha beta", "gamma delta epsilon"], vocab, labels=[0, 1])
         logits = model.logits(examples)
@@ -256,6 +255,63 @@ class TestForwardClassify:
         loss.backward()
         for name, p in model.named_parameters():
             assert p.grad is not None and np.isfinite(p.grad).all(), name
+
+
+class TestTrimPadding:
+    @pytest.mark.parametrize(
+        "mask, width",
+        [
+            ([[1, 1, 1], [1, 1, 1]], 3),  # all real: nothing to cut
+            ([[1, 1, 0, 0], [1, 0, 0, 0]], 2),
+            ([[1, 0, 1, 0, 0], [1, 0, 0, 0, 0]], 3),  # interior zero column stays
+            ([[0, 0, 0]], 3),  # nothing attended: left as given
+        ],
+    )
+    def test_cuts_after_last_used_column(self, mask, width):
+        mask = np.array(mask)
+        ids = np.arange(mask.size).reshape(mask.shape)
+        segs = np.ones_like(mask)
+        trimmed = trim_padding(ids, segs, mask)
+        for full, cut in zip((ids, segs, mask), trimmed):
+            assert np.array_equal(cut, full[:, :width])
+
+    def test_logits_equal_untrimmed_forward(self, vocab):
+        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
+        examples = batch_for(["alpha beta", "gamma"], vocab)
+        ids, segs, mask = stack_examples(examples)
+        assert trim_padding(ids, segs, mask)[0].shape[1] < ids.shape[1]
+        np.testing.assert_allclose(
+            model.logits(examples).data, model.forward(ids, segs, mask).data, atol=1e-6
+        )
+
+    def test_gradients_equal_untrimmed(self, vocab):
+        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
+        examples = batch_for(["alpha beta gamma", "delta"], vocab, labels=[0, 1])
+        labels = np.array([0, 1])
+        full = stack_examples(examples)
+        trimmed = trim_padding(*full)
+        width = trimmed[0].shape[1]
+        assert width < full[0].shape[1]
+
+        grads = []
+        for batch in (full, trimmed):
+            model.zero_grad()
+            T.cross_entropy(model.forward(*batch), labels).backward()
+            grads.append({name: p.grad.copy() for name, p in model.named_parameters()})
+        for name in grads[0]:
+            np.testing.assert_allclose(grads[1][name], grads[0][name], atol=1e-6, err_msg=name)
+        for g in grads:
+            assert np.all(g["embed.position"][width:] == 0.0)
+
+    def test_mlm_loss_equals_untrimmed(self, vocab, monkeypatch):
+        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab), init_seed=3))
+        examples = batch_for(["alpha beta gamma", "delta"], vocab)
+        batch = apply_mlm_mask(examples, vocab, MaskingPolicy(select_rate=0.5), rng_seed=11)
+        assert batch.num_targets > 0
+        trimmed = mlm_pretrain_loss(batch, model).item()
+        monkeypatch.setattr(model_module, "trim_padding", lambda *arrays: arrays)
+        untrimmed = mlm_pretrain_loss(batch, model).item()
+        assert abs(trimmed - untrimmed) < 1e-6
 
 
 class TestMaskingPolicy:
@@ -322,7 +378,6 @@ class TestApplyMlmMask:
 
 class TestMlmPretrainLoss:
     def test_uniform_logits_give_log_vocab_size(self, vocab):
-        import dataclasses
         config = dataclasses.replace(
             TINY, vocab_size=len(vocab), init_scale=0.0, init_seed=5
         )
@@ -338,7 +393,6 @@ class TestMlmPretrainLoss:
         assert abs(loss.item() - math.log(len(vocab))) < 1e-5
 
     def test_confident_model_near_zero_loss(self, vocab):
-        import dataclasses
         config = dataclasses.replace(
             TINY, vocab_size=len(vocab), init_scale=0.0, init_seed=5
         )
@@ -362,7 +416,6 @@ class TestMlmPretrainLoss:
         assert loss.item() < 1e-3
 
     def test_empty_targets_zero_loss_no_gradient(self, vocab):
-        import dataclasses
         model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
         batch = MaskedBatch(
             input_ids=np.array([[CLS_ID, SEP_ID, PAD_ID, PAD_ID]]),
@@ -374,7 +427,6 @@ class TestMlmPretrainLoss:
         assert not loss.requires_grad
 
     def test_gradients_match_finite_differences(self, vocab):
-        import dataclasses
         from _oracles import assert_grads_close, numeric_gradient
 
         config = dataclasses.replace(TINY, vocab_size=len(vocab), init_seed=3)

@@ -174,6 +174,32 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"epoch 1, batch 0"):
             train(model, train_set, val_set, TrainConfig(epochs=1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.inf, np.nan])
+    def test_non_finite_loss_stops_training(self, separable_setup, poison):
+        config, train_set, val_set = separable_setup
+        model = init_model(config)
+        model.params["head.out_w"].data[:] = poison
+        before = model.params["layer0.q_w"].data.copy()
+        with pytest.raises(TrainingError, match=r"epoch 1, batch 0: loss is (nan|inf)"):
+            train(model, train_set, val_set, TrainConfig(epochs=1))
+        assert np.array_equal(model.params["layer0.q_w"].data, before)
+
+    def test_batches_reach_forward_trimmed(self, separable_setup):
+        config, train_set, val_set = separable_setup
+        model = init_model(config)
+        widths = []
+        forward = model.forward
+
+        def recording_forward(token_ids, segment_ids, attention_mask):
+            assert attention_mask[:, -1].any()  # no all-PAD trailing column
+            widths.append(attention_mask.shape[1])
+            return forward(token_ids, segment_ids, attention_mask)
+
+        model.forward = recording_forward
+        train(model, train_set, val_set, TrainConfig(epochs=1))
+        assert max(widths) < config.max_seq_len
+
     def test_accuracy_helper(self, separable_setup):
         config, train_set, val_set = separable_setup
         model = init_model(config)
