@@ -33,7 +33,6 @@ from .experiment import (
 )
 from .model import example_labels
 from .tokenizer import encode
-from .training import accuracy
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -54,11 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gated",
         action="store_true",
         help="also train variants marked gated (e.g. deep stacks)",
-    )
-    run.add_argument(
-        "--parallel-members",
-        action="store_true",
-        help="train ensemble members concurrently",
     )
     run.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -108,7 +102,6 @@ def _cmd_run(args) -> int:
     result = run_experiment(
         config,
         include_gated=args.gated,
-        parallel_members=args.parallel_members,
         echo=None if args.quiet else sys.stdout,
     )
     for skipped in result.skipped_gated:
@@ -150,7 +143,7 @@ def _cmd_eval(args) -> int:
     if is_ensemble_checkpoint(checkpoint):
         prediction = ensemble.predict(examples)
         report = metrics(confusion_matrix(prediction.labels, labels, config.num_classes))
-        payload["member_accuracies"] = [accuracy(m, examples) for m in ensemble.members]
+        payload["member_accuracies"] = prediction.member_accuracies(labels)
         payload["disagreement_count"] = prediction.disagreement_count
     else:
         predicted = model.predict(examples)

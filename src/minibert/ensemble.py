@@ -1,15 +1,20 @@
 """Train N member classifiers and combine their predictions by voting.
 
 Members share initial weights by default; diversity comes from distinct
-per-member batch-shuffle seeds.  Majority voting is the default rule;
-average-probability voting is also available.  Ties break toward the
-lowest class index (with odd member counts and binary labels the
-majority rule never ties).
+per-member batch-shuffle seeds.  Members train one after another, so the
+summed member time is the ensemble's sequential training cost.  Majority
+voting is the default rule; average-probability voting is also
+available.  Ties break toward the lowest class index (with odd member
+counts and binary labels the majority rule never ties).
+
+An evaluation runs each member's forward pass exactly once, with no
+autodiff graph: majority voting needs each member's labels, average
+voting each member's probabilities, and the member labels, the
+disagreement count and the per-member accuracies all follow from those.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TextIO
 
@@ -49,9 +54,22 @@ class EnsembleConfig:
 
 @dataclass
 class EnsemblePrediction:
+    """Voted labels plus every member's own labels for the same examples."""
+
     labels: np.ndarray
     member_labels: np.ndarray = field(repr=False)  # (N, B)
     disagreement_count: int = 0
+
+    def member_accuracies(self, labels) -> list[float]:
+        """Each member's accuracy against ``labels``, from its stored votes."""
+        labels = np.asarray(labels)
+        if not labels.size:
+            raise ValueError("cannot evaluate accuracy on an empty set")
+        if labels.shape != self.labels.shape:
+            raise ValueError(
+                f"expected {self.labels.shape[0]} labels, got shape {labels.shape}"
+            )
+        return [float(np.mean(row == labels)) for row in self.member_labels]
 
 
 class EnsembleModel:
@@ -78,45 +96,38 @@ def train_ensemble(
     val_set: list[EncodedExample],
     ensemble_config: EnsembleConfig,
     train_config: TrainConfig,
-    parallel: bool = False,
     log_stream: TextIO | None = None,
 ) -> tuple[EnsembleModel, list[TrainRun]]:
-    """Train every member independently on the same split.
+    """Train every member independently on the same split, one after another.
 
     With ``shared_init`` all members start from identical parameters
     (same init seed); otherwise each member's init seed is offset by its
-    index.  Each member shuffles batches with its own seed.  Members run
-    sequentially unless ``parallel`` is set; either way the returned runs
-    carry per-member wall-clock times so summed sequential-equivalent
-    cost can be reported.
+    index.  Each member shuffles batches with its own seed.  The returned
+    runs carry per-member wall-clock times; their sum is the ensemble's
+    training cost.
     """
     base = ensemble_config.member_model_config
-
-    def build_and_train(index: int) -> TrainRun:
+    runs: list[TrainRun] = []
+    for index in range(ensemble_config.n_members):
         cfg = base if ensemble_config.shared_init else replace(
             base, init_seed=base.init_seed + index
         )
-        member = init_model(cfg)
         member_train = replace(
             train_config, shuffle_seed=ensemble_config.member_shuffle_seeds[index]
         )
         try:
-            return train(
-                member,
-                train_set,
-                val_set,
-                member_train,
-                log_stream=log_stream,
-                log_prefix=f"member={index} ",
+            runs.append(
+                train(
+                    init_model(cfg),
+                    train_set,
+                    val_set,
+                    member_train,
+                    log_stream=log_stream,
+                    log_prefix=f"member={index} ",
+                )
             )
         except Exception as err:
             raise TrainingError(f"member {index}: {err}") from err
-
-    if parallel and ensemble_config.n_members > 1:
-        with ThreadPoolExecutor(max_workers=ensemble_config.n_members) as pool:
-            runs = list(pool.map(build_and_train, range(ensemble_config.n_members)))
-    else:
-        runs = [build_and_train(i) for i in range(ensemble_config.n_members)]
     ensemble = EnsembleModel([run.model for run in runs], ensemble_config)
     return ensemble, runs
 
@@ -149,12 +160,18 @@ def average_vote(member_probabilities) -> np.ndarray:
 def predict_ensemble(
     ensemble: EnsembleModel, examples: list[EncodedExample]
 ) -> EnsemblePrediction:
-    """Vote member predictions into final labels and count disagreements."""
-    member_labels = np.stack([m.predict(examples) for m in ensemble.members])
+    """Vote member predictions into final labels and count disagreements.
+
+    Each member runs one forward pass: ``predict`` for majority voting,
+    ``predict_proba`` for average voting, whose argmax gives the member's
+    labels.
+    """
     if ensemble.config.voting == AVERAGE_PROBABILITY:
         member_probs = np.stack([m.predict_proba(examples) for m in ensemble.members])
+        member_labels = np.argmax(member_probs, axis=-1)
         labels = average_vote(member_probs)
     else:
+        member_labels = np.stack([m.predict(examples) for m in ensemble.members])
         labels = majority_vote(member_labels)
     disagreement = int(np.sum(~np.all(member_labels == member_labels[0], axis=0)))
     return EnsemblePrediction(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -29,8 +29,8 @@ from .evaluation import (
     metrics,
 )
 from .model import ModelConfig, example_labels, init_model
-from .tokenizer import Vocabulary, build_vocab, encode
-from .training import TrainConfig, TrainRun, accuracy, split_dataset, train
+from .tokenizer import MIN_SEQ_LEN, Vocabulary, build_vocab, encode
+from .training import TrainConfig, TrainRun, split_dataset, train
 
 
 @dataclass
@@ -60,16 +60,30 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
 
+_TOP_LEVEL_KEYS = ("corpus", "tokenizer", "model", "train", "variants", "output_dir")
+_VARIANT_KEYS = tuple(f.name for f in fields(VariantSpec))
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return section[key]
 
 
+def _reject_unknown_keys(section, allowed: tuple[str, ...], where: str) -> None:
+    """A misspelt key would otherwise fall back to its default silently."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config; seeds must be explicit."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "config")
 
     corpus_section = _require(raw, "corpus", "config")
     corpus_path = corpus_section.get("path")
@@ -83,6 +97,11 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     max_vocab = _require(tok, "max_vocab", "tokenizer")
     min_frequency = tok.get("min_frequency", 1)
     max_seq_len = _require(tok, "max_seq_len", "tokenizer")
+    if not isinstance(max_seq_len, int) or max_seq_len < MIN_SEQ_LEN:
+        raise ConfigError(
+            f"tokenizer: max_seq_len must be an integer >= {MIN_SEQ_LEN} "
+            f"([CLS], one token, [SEP]), got {max_seq_len!r}"
+        )
 
     model_section = dict(_require(raw, "model", "config"))
     _require(model_section, "init_seed", "model")
@@ -108,6 +127,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     names = set()
     for i, entry in enumerate(variants_raw):
         where = f"variants[{i}]"
+        _reject_unknown_keys(entry, _VARIANT_KEYS, where)
         name = _require(entry, "name", where)
         if name in names:
             raise ConfigError(f"{where}: duplicate variant name {name!r}")
@@ -231,12 +251,16 @@ def _load_corpus(config: ExperimentConfig) -> LabeledCorpus:
 def run_experiment(
     config: ExperimentConfig,
     include_gated: bool = False,
-    parallel_members: bool = False,
     echo: TextIO | None = None,
 ) -> ExperimentResult:
     """Run every (non-gated) variant and write all artifacts under one
     fresh timestamped directory."""
     corpus = _load_corpus(config)
+    if corpus.num_classes > config.model.num_classes:
+        raise ConfigError(
+            f"corpus has {corpus.num_classes} classes but model.num_classes is "
+            f"{config.model.num_classes}"
+        )
     train_records, val_records = split_dataset(
         corpus.records, config.train.split_ratio, config.train.split_seed
     )
@@ -276,7 +300,6 @@ def run_experiment(
                         val_set,
                         vocab,
                         run_dir,
-                        parallel_members,
                         stream,
                     )
                 )
@@ -298,7 +321,6 @@ def _run_variant(
     val_set,
     vocab: Vocabulary,
     run_dir: Path,
-    parallel_members: bool,
     stream: TextIO,
 ) -> VariantResult:
     member_config = replace(model_config, num_layers=variant.num_layers)
@@ -346,16 +368,13 @@ def _run_variant(
         val_set,
         ensemble_config,
         train_config,
-        parallel=parallel_members,
         log_stream=stream,
     )
     wall_clock = time.perf_counter() - training_started
     prediction = ensemble.predict(val_set)
     save_ensemble(ensemble, checkpoint_dir, vocab)
     report = metrics(confusion_matrix(prediction.labels, val_labels, member_config.num_classes))
-    # comparisons use the sequential-equivalent cost (summed member time);
-    # the observed wall clock is reported alongside and is smaller when
-    # members train in parallel
+    # comparisons rank on summed member time, the ensemble's training cost
     summed_seconds = sum(run.total_seconds for run in runs)
     timing = TimingRecord(
         model_name=variant.name,
@@ -370,7 +389,7 @@ def _run_variant(
         runs=runs,
         wall_clock_seconds=wall_clock,
         checkpoint_dir=checkpoint_dir,
-        member_val_accuracies=[accuracy(m, val_set) for m in ensemble.members],
+        member_val_accuracies=prediction.member_accuracies(val_labels),
         disagreement_count=prediction.disagreement_count,
     )
 

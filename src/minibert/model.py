@@ -238,19 +238,22 @@ class ClassifierModel:
         return self.forward(*trim_padding(*stack_examples(examples)))
 
     def predict(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
-        """Predicted class indices, argmax of the logits."""
+        """Predicted class indices, argmax of the logits; builds no graph."""
         out = np.empty(len(examples), dtype=np.int64)
-        for start in range(0, len(examples), batch_size):
-            chunk = examples[start : start + batch_size]
-            out[start : start + len(chunk)] = np.argmax(self.logits(chunk).data, axis=1)
+        with T.no_grad():
+            for start in range(0, len(examples), batch_size):
+                chunk = examples[start : start + batch_size]
+                out[start : start + len(chunk)] = np.argmax(self.logits(chunk).data, axis=1)
         return out
 
     def predict_proba(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
-        """Per-class probabilities, softmax of the logits, shape (N, C)."""
+        """Per-class probabilities, softmax of the logits, shape (N, C);
+        builds no graph."""
         out = np.empty((len(examples), self.config.num_classes), dtype=np.float64)
-        for start in range(0, len(examples), batch_size):
-            chunk = examples[start : start + batch_size]
-            out[start : start + len(chunk)] = T.softmax(self.logits(chunk), axis=-1).data
+        with T.no_grad():
+            for start in range(0, len(examples), batch_size):
+                chunk = examples[start : start + batch_size]
+                out[start : start + len(chunk)] = T.softmax(self.logits(chunk), axis=-1).data
         return out
 
 

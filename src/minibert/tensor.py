@@ -10,6 +10,7 @@ precision.  All computation is deterministic for identical inputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeError",
+    "no_grad",
     "add",
     "mul",
     "matmul",
@@ -36,6 +38,9 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # GELU tanh approximation: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# Process-wide graph-building switch; see ``no_grad``.
+_grad_enabled = True
 
 
 class ShapeError(ValueError):
@@ -184,13 +189,32 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff graph inside the block, like ``torch.no_grad``.
+
+    Operations return plain tensors with ``requires_grad`` unset, no
+    parents and no backward closure, so activations are freed as soon as
+    they are consumed.  The previous mode is restored on exit, also when
+    the block raises.  The switch is process-wide: do not train in one
+    thread while another runs inference.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp

@@ -20,6 +20,8 @@ SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN)
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 NUM_SPECIAL_TOKENS = len(SPECIAL_TOKENS)
+# [CLS] + at least one content token + [SEP]
+MIN_SEQ_LEN = 3
 
 # Unified ideograph blocks, matching the usual BERT treatment of Chinese text.
 _CJK_RANGES = (
@@ -137,8 +139,8 @@ class EncodedExample:
 
 def encode(text: str, vocab: Vocabulary, max_seq_len: int, label: int = 0) -> EncodedExample:
     """Encode text as [CLS] + tokens + [SEP] + padding, truncating the tail."""
-    if max_seq_len < 3:
-        raise ValueError(f"max_seq_len must be at least 3, got {max_seq_len}")
+    if max_seq_len < MIN_SEQ_LEN:
+        raise ValueError(f"max_seq_len must be at least {MIN_SEQ_LEN}, got {max_seq_len}")
     content = [vocab.lookup(tok) for tok in segment_text(text)][: max_seq_len - 2]
     ids = [CLS_ID] + content + [SEP_ID]
     used = len(ids)

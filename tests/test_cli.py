@@ -1,6 +1,7 @@
 """CLI and pipeline tests: experiment runs from a JSON config, gated
-variants, byte-identical metrics across reruns, vocabulary built from the
-training split only, checkpoint evaluation self-consistency, and the
+variants, configs rejected before any work, byte-identical metrics across
+reruns, vocabulary built from the training split only, checkpoint
+evaluation self-consistency and its one forward pass per member, and the
 metrics calculator."""
 
 import json
@@ -8,18 +9,25 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from minibert.checkpoint import load_ensemble
 from minibert.cli import main
 from minibert.corpus import generate_synthetic, load_csv
+from minibert.errors import ConfigError
 from minibert.experiment import (
     load_experiment_config,
+    parse_experiment_config,
     parse_synthetic_spec,
     run_experiment,
 )
-from minibert.training import split_dataset
+from minibert.tokenizer import encode
+from minibert.training import accuracy, split_dataset
+from test_ensemble import count_forward_rows
 
 
-def tiny_config(tmp_path: Path, **overrides) -> Path:
+def tiny_config_dict(output_dir: Path, **overrides) -> dict:
     config = {
         "corpus": {
             "synthetic": {
@@ -61,9 +69,14 @@ def tiny_config(tmp_path: Path, **overrides) -> Path:
             {"name": "single-3layer", "kind": "single", "num_layers": 3},
             {"name": "single-12layer", "kind": "single", "num_layers": 12, "gated": True},
         ],
-        "output_dir": str(tmp_path / "runs"),
+        "output_dir": str(output_dir),
     }
     config.update(overrides)
+    return config
+
+
+def tiny_config(tmp_path: Path, **overrides) -> Path:
+    config = tiny_config_dict(tmp_path / "runs", **overrides)
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
@@ -169,24 +182,13 @@ class TestRunCommand:
         assert set(metrics_doc["variants"]) == {"plain", "deep"}
         assert metrics_doc["skipped_gated"] == []
 
-    def test_parallel_members_flag(self, tmp_path):
-        config_path = tiny_config(
-            tmp_path,
-            variants=[
-                {
-                    "name": "ens",
-                    "kind": "ensemble",
-                    "n_members": 2,
-                    "num_layers": 1,
-                    "member_shuffle_seeds": [1, 2],
-                }
-            ],
-        )
-        assert main(["run", str(config_path), "--quiet", "--parallel-members"]) == 0
-        timing_doc = json.loads((latest_run_dir(tmp_path) / "timing.json").read_text())
-        entry = timing_doc["ens"]
-        assert entry["wall_clock_seconds"] > 0
-        assert entry["training_minutes"] * 60 >= sum(entry["per_run_seconds"]) * 0.99
+    def test_parallel_members_flag_is_gone(self, tmp_path, capsys):
+        config_path = tiny_config(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["run", str(config_path), "--quiet", "--parallel-members"])
+        assert exited.value.code == 2
+        assert "--parallel-members" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").glob("run-*"))
 
     def test_output_dir_flag_overrides_config(self, tmp_path):
         config_path = tiny_config(
@@ -197,6 +199,66 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--quiet", "--output-dir", str(override)]) == 0
         assert override.exists() and list(override.iterdir())
         assert not (tmp_path / "runs").exists()
+
+
+class TestConfigRejectedBeforeAnyWork:
+    """Each bad config exits 2 before a run directory is created."""
+
+    def assert_rejected(self, tmp_path, capsys, config_path, *phrases):
+        assert main(["run", str(config_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for phrase in phrases:
+            assert phrase in err
+        assert not list((tmp_path / "runs").glob("run-*"))
+
+    def test_max_seq_len_too_short(self, tmp_path, capsys):
+        config_path = tiny_config(
+            tmp_path, tokenizer={"max_vocab": 200, "min_frequency": 1, "max_seq_len": 2}
+        )
+        self.assert_rejected(tmp_path, capsys, config_path, "max_seq_len", ">= 3")
+
+    def test_misspelt_variant_key(self, tmp_path, capsys):
+        config_path = tiny_config(
+            tmp_path,
+            variants=[
+                {
+                    "name": "ens",
+                    "kind": "ensemble",
+                    "n_member": 5,
+                    "member_shuffle_seeds": [1, 2, 3],
+                }
+            ],
+        )
+        self.assert_rejected(tmp_path, capsys, config_path, "variants[0]", "'n_member'")
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        config_path = tiny_config(tmp_path, outptu_dir="elsewhere")
+        self.assert_rejected(tmp_path, capsys, config_path, "config", "'outptu_dir'")
+
+    def test_corpus_with_more_classes_than_the_model(self, tmp_path, capsys):
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["corpus"]["synthetic"]["num_classes"] = 3
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, "3 classes", "num_classes is 2")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(min_value=0, max_value=2),
+        key=st.text(min_size=1, max_size=12),
+        value=st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5)),
+    )
+    def test_any_unknown_variant_key_is_rejected(self, index, key, value):
+        raw = tiny_config_dict(Path("unused"))
+        known = set(raw["variants"][index]) | {
+            "num_layers", "n_members", "member_shuffle_seeds", "shared_init", "voting", "gated",
+        }
+        assume(key not in known)
+        raw["variants"][index][key] = value
+        with pytest.raises(ConfigError, match=rf"variants\[{index}\]") as err:
+            parse_experiment_config(raw)
+        assert repr(key) in str(err.value)
 
 
 class TestVocabularyLeakage:
@@ -269,6 +331,31 @@ class TestEvalCommand:
             payload["disagreement_count"]
             == recorded["variants"]["ensemble-3x1"]["disagreement_count"]
         )
+
+    @pytest.mark.parametrize("voting", ["majority", "average_probability"])
+    def test_ensemble_eval_forwards_each_member_once(
+        self, completed_run, tmp_path, capsys, monkeypatch, voting
+    ):
+        _, run_dir = completed_run
+        checkpoint = tmp_path / "ensemble"
+        shutil.copytree(run_dir / "checkpoints" / "ensemble-3x1", checkpoint)
+        manifest_path = checkpoint / "ensemble.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["voting"] = voting
+        manifest_path.write_text(json.dumps(manifest))
+        corpus = load_csv(run_dir / "val.csv")
+
+        rows = count_forward_rows(monkeypatch)
+        assert main(["eval", str(checkpoint), str(run_dir / "val.csv"), "--json"]) == 0
+        assert sorted(rows.values()) == [len(corpus)] * 3
+        monkeypatch.undo()
+
+        payload = json.loads(capsys.readouterr().out)
+        ensemble, vocab = load_ensemble(checkpoint)
+        max_seq_len = ensemble.members[0].config.max_seq_len
+        examples = [encode(text, vocab, max_seq_len, label) for text, label in corpus.records]
+        assert payload["member_accuracies"] == [accuracy(m, examples) for m in ensemble.members]
+        assert payload["disagreement_count"] == ensemble.predict(examples).disagreement_count
 
     def test_missing_checkpoint_exits_one(self, completed_run, capsys):
         _, run_dir = completed_run

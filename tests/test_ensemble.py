@@ -1,8 +1,11 @@
 """Ensemble tests: voting rules against a brute-force mode oracle,
-permutation invariance, degenerate single-member ensembles, and member
-diversity from distinct shuffle seeds."""
+permutation invariance, degenerate single-member ensembles, member
+diversity from distinct shuffle seeds, and one forward pass per member
+per evaluation."""
 
+import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +14,13 @@ from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.ensemble import (
     EnsembleConfig,
     EnsembleModel,
+    EnsemblePrediction,
     average_vote,
     majority_vote,
     train_ensemble,
 )
 from minibert.errors import ConfigError
-from minibert.model import ModelConfig, init_model
+from minibert.model import ClassifierModel, ModelConfig, init_model
 from minibert.tokenizer import build_vocab, encode
 from minibert.training import TrainConfig, accuracy, split_dataset
 from _oracles import brute_force_vote
@@ -185,25 +189,8 @@ class TestTrainEnsemble:
         for name, p in a.named_parameters():
             assert np.array_equal(p.data, b.params[name].data)
 
-    def test_parallel_members_match_sequential(self, trained_setup):
-        model_config, train_set, val_set, train_config = trained_setup
-        config = EnsembleConfig(
-            member_model_config=model_config, n_members=2,
-            member_shuffle_seeds=[21, 22],
-        )
-        sequential, _ = train_ensemble(
-            train_set[:40], val_set[:10], config, train_config, parallel=False
-        )
-        parallel, _ = train_ensemble(
-            train_set[:40], val_set[:10], config, train_config, parallel=True
-        )
-        for seq_member, par_member in zip(sequential.members, parallel.members):
-            for name, p in seq_member.named_parameters():
-                assert np.array_equal(p.data, par_member.params[name].data), name
-
     def test_member_shape_mismatch_rejected(self, trained_setup):
         model_config, *_ = trained_setup
-        import dataclasses
         other = dataclasses.replace(model_config, hidden_dim=32, num_heads=2)
         config = EnsembleConfig(
             member_model_config=model_config, n_members=2, member_shuffle_seeds=[1, 2]
@@ -220,3 +207,69 @@ class TestTrainEnsemble:
         )
         with pytest.raises(TrainingError, match="member 0"):
             train_ensemble(train_set, [], config, train_config)
+
+
+def count_forward_rows(monkeypatch) -> Counter:
+    """Rows each model's ``forward`` sees from now on, keyed by model id."""
+    rows: Counter = Counter()
+    original = ClassifierModel.forward
+
+    def counting(self, token_ids, segment_ids, attention_mask):
+        rows[id(self)] += len(token_ids)
+        return original(self, token_ids, segment_ids, attention_mask)
+
+    monkeypatch.setattr(ClassifierModel, "forward", counting)
+    return rows
+
+
+class TestOnePassPrediction:
+    @pytest.fixture(params=["majority", "average_probability"])
+    def ensemble(self, request, trained_setup):
+        # untrained members from distinct, large inits disagree on some examples
+        model_config, *_ = trained_setup
+        base = dataclasses.replace(model_config, init_scale=0.5)
+        members = [init_model(dataclasses.replace(base, init_seed=s)) for s in (1, 2, 3)]
+        config = EnsembleConfig(
+            member_model_config=base, n_members=3,
+            member_shuffle_seeds=[1, 2, 3], voting=request.param,
+        )
+        return EnsembleModel(members, config)
+
+    def test_each_member_forwards_each_example_once(self, ensemble, trained_setup, monkeypatch):
+        *_, val_set, _ = trained_setup
+        rows = count_forward_rows(monkeypatch)
+        ensemble.predict(val_set)
+        assert rows == {id(m): len(val_set) for m in ensemble.members}
+
+    def test_matches_a_model_by_model_computation(self, ensemble, trained_setup):
+        *_, val_set, _ = trained_setup
+        prediction = ensemble.predict(val_set)
+        member_labels = np.stack([m.predict(val_set) for m in ensemble.members])
+        if ensemble.config.voting == "average_probability":
+            expected = average_vote([m.predict_proba(val_set) for m in ensemble.members])
+        else:
+            expected = majority_vote(member_labels)
+        disagreements = sum(len(set(column)) > 1 for column in member_labels.T)
+        assert disagreements > 0
+        np.testing.assert_array_equal(prediction.labels, expected)
+        np.testing.assert_array_equal(prediction.member_labels, member_labels)
+        assert prediction.disagreement_count == disagreements
+
+    def test_member_accuracies_match_accuracy(self, ensemble, trained_setup):
+        *_, val_set, _ = trained_setup
+        labels = np.array([e.label for e in val_set])
+        reported = ensemble.predict(val_set).member_accuracies(labels)
+        assert reported == [accuracy(m, val_set) for m in ensemble.members]
+
+    def test_member_accuracies_reject_mismatched_labels(self):
+        prediction = EnsemblePrediction(
+            labels=np.array([0, 1, 0, 1]), member_labels=np.zeros((3, 4), dtype=np.int64)
+        )
+        assert prediction.member_accuracies([0, 0, 0, 0]) == [1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="expected 4 labels"):
+            prediction.member_accuracies([0, 1, 0])
+        empty = EnsemblePrediction(
+            labels=np.array([], dtype=np.int64), member_labels=np.zeros((3, 0), dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match="empty"):
+            empty.member_accuracies([])

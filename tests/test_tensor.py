@@ -235,6 +235,56 @@ class TestBackward:
         np.testing.assert_array_equal(p.grad, [4.0])
 
 
+def builds_graph(t: T.Tensor) -> bool:
+    return t.requires_grad or bool(t._parents) or t._vjp is not None
+
+
+class TestNoGrad:
+    def all_ops(self, x, w, g, b):
+        h = T.layer_norm(T.gelu(x @ w + b) * 0.5, g, b)
+        return [
+            x @ w, x + b, x * 2.0, x[0], x.reshape(12), x.transpose(), x.sum(), x.mean(),
+            T.tanh(x), T.gelu(x), T.softmax(x), h, T.cross_entropy(h, [0, 1, 2]),
+        ]
+
+    def test_ops_record_nothing_and_compute_the_same_values(self):
+        rng = np.random.default_rng(13)
+        x, w = leaf(rng, 3, 4), leaf(rng, 4, 4)
+        g, b = leaf(rng, 4), leaf(rng, 4)
+        with_graph = self.all_ops(x, w, g, b)
+        assert all(builds_graph(out) for out in with_graph)
+        with T.no_grad():
+            without = self.all_ops(x, w, g, b)
+        for graphed, plain in zip(with_graph, without):
+            assert not builds_graph(plain), plain
+            np.testing.assert_array_equal(plain.data, graphed.data)
+
+    def test_nested_block_restores_the_outer_state(self):
+        p = T.Tensor(np.array([1.0]), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not builds_graph(p * 2.0)
+            assert not builds_graph(p * 2.0)
+        assert builds_graph(p * 2.0)
+
+    def test_grad_mode_is_back_after_an_exception(self):
+        p = T.Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(T.ShapeError):
+            with T.no_grad():
+                T.Tensor(np.zeros((2, 3))) @ T.Tensor(np.zeros((4, 2)))
+        assert builds_graph(p * 2.0)
+
+    def test_backward_after_the_block_gives_correct_gradients(self):
+        rng = np.random.default_rng(17)
+        p = leaf(rng, 3)
+        with T.no_grad():
+            constant = T.tanh(p * 3.0)
+        # ``constant`` is a plain value: the gradient of sum(p * p * c) is 2 p c
+        (p * p * constant).sum().backward()
+        np.testing.assert_allclose(p.grad, 2.0 * p.data * np.tanh(3.0 * p.data))
+        assert constant.grad is None
+
+
 class TestMiscOps:
     def test_add_row_bias_gradient(self):
         rng = np.random.default_rng(9)
