@@ -6,11 +6,17 @@ parameters as little-endian float32, concatenated in manifest order),
 and ``vocab.txt``.  An ensemble checkpoint is a directory of member
 checkpoints plus ``ensemble.json``.  Loading rejects any shape, name, or
 size mismatch.
+
+Saving removes the old manifest first and writes the new one last;
+``params.bin`` and the manifests go to a temporary name that
+``os.replace`` then moves into place.  A save that fails part way
+therefore leaves no manifest that loads.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,10 +38,33 @@ _ENSEMBLE_FORMAT = "minibert-ensemble-v1"
 _PARAM_DTYPE = np.dtype("<f4")
 
 
+def _write_atomic(path: Path, payload: bytes) -> None:
+    """Replace ``path`` with ``payload`` in one step, never a partial file."""
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_bytes(payload)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def _manifest_bytes(manifest: dict) -> bytes:
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / MODEL_MANIFEST).unlink(missing_ok=True)
     names = list(parameter_shapes(model.config))
+    vocab.save(directory / VOCAB_FILE)
+    _write_atomic(
+        directory / PARAMS_FILE,
+        b"".join(
+            np.ascontiguousarray(model.params[name].data, dtype=_PARAM_DTYPE).tobytes()
+            for name in names
+        ),
+    )
     manifest = {
         "format": _MODEL_FORMAT,
         "config": asdict(model.config),
@@ -44,15 +73,7 @@ def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary)
         ],
         "vocab_file": VOCAB_FILE,
     }
-    (directory / MODEL_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with (directory / PARAMS_FILE).open("wb") as handle:
-        for name in names:
-            handle.write(
-                np.ascontiguousarray(model.params[name].data, dtype=_PARAM_DTYPE).tobytes()
-            )
-    vocab.save(directory / VOCAB_FILE)
+    _write_atomic(directory / MODEL_MANIFEST, _manifest_bytes(manifest))
     return directory
 
 
@@ -130,6 +151,7 @@ def save_ensemble(
 ) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / ENSEMBLE_MANIFEST).unlink(missing_ok=True)
     member_dirs = []
     for i, member in enumerate(ensemble.members):
         member_dir = f"member-{i:02d}"
@@ -143,9 +165,7 @@ def save_ensemble(
         "member_shuffle_seeds": list(ensemble.config.member_shuffle_seeds),
         "members": member_dirs,
     }
-    (directory / ENSEMBLE_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_atomic(directory / ENSEMBLE_MANIFEST, _manifest_bytes(manifest))
     return directory
 
 

@@ -61,7 +61,12 @@ class ExperimentConfig:
 
 
 _TOP_LEVEL_KEYS = ("corpus", "tokenizer", "model", "train", "variants", "output_dir")
+_CORPUS_KEYS = ("path", "synthetic")
+_TOKENIZER_KEYS = ("max_vocab", "min_frequency", "max_seq_len")
 _VARIANT_KEYS = tuple(f.name for f in fields(VariantSpec))
+_SYNTHETIC_KEYS = ("num_examples", "seed", "tokens_per_text", "noise_rate")
+_EXPLICIT_POOL_KEYS = _SYNTHETIC_KEYS + ("class_token_pools", "shared_pool")
+_BALANCED_POOL_KEYS = _SYNTHETIC_KEYS + ("num_classes", "class_pool_size", "shared_pool_size")
 
 
 def _require(section: dict, key: str, where: str):
@@ -86,6 +91,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "config")
 
     corpus_section = _require(raw, "corpus", "config")
+    _reject_unknown_keys(corpus_section, _CORPUS_KEYS, "corpus")
     corpus_path = corpus_section.get("path")
     synthetic = None
     if "synthetic" in corpus_section:
@@ -94,6 +100,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("corpus: exactly one of 'path' or 'synthetic' is required")
 
     tok = _require(raw, "tokenizer", "config")
+    _reject_unknown_keys(tok, _TOKENIZER_KEYS, "tokenizer")
     max_vocab = _require(tok, "max_vocab", "tokenizer")
     min_frequency = tok.get("min_frequency", 1)
     max_seq_len = _require(tok, "max_seq_len", "tokenizer")
@@ -170,9 +177,13 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
 
 def parse_synthetic_spec(section: dict, where: str) -> SyntheticSpec:
+    """Explicit ``class_token_pools`` or generated pools; a key that the
+    chosen form does not read is rejected, not ignored."""
+    explicit = isinstance(section, dict) and "class_token_pools" in section
+    _reject_unknown_keys(section, _EXPLICIT_POOL_KEYS if explicit else _BALANCED_POOL_KEYS, where)
     _require(section, "seed", where)
     num_examples = _require(section, "num_examples", where)
-    if "class_token_pools" in section:
+    if explicit:
         return SyntheticSpec(
             num_examples=num_examples,
             class_token_pools=section["class_token_pools"],

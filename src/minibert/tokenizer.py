@@ -7,6 +7,7 @@ tokens at fixed ids 0-4, then content tokens by descending frequency.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,10 +36,10 @@ _CJK_RANGES = (
     (0x2F800, 0x2FA1F),
 )
 
-
-def is_cjk_char(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+_CJK_CLASS = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in _CJK_RANGES)
+# One CJK codepoint, or a maximal run of characters that are neither
+# whitespace (``\s`` is exactly ``str.isspace``) nor CJK.
+_SEGMENT_RE = re.compile(f"[{_CJK_CLASS}]|[^\\s{_CJK_CLASS}]+")
 
 
 def segment_text(text: str) -> list[str]:
@@ -46,25 +47,10 @@ def segment_text(text: str) -> list[str]:
 
     Every CJK codepoint becomes its own token; maximal runs of other
     non-whitespace characters become single lowercased tokens; whitespace
-    only delimits.  Empty input yields an empty list.
+    only delimits.  Empty input yields an empty list.  CJK ideographs have
+    no case, so lowercasing every token leaves them as they are.
     """
-    tokens: list[str] = []
-    run: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            if run:
-                tokens.append("".join(run).lower())
-                run = []
-        elif is_cjk_char(ch):
-            if run:
-                tokens.append("".join(run).lower())
-                run = []
-            tokens.append(ch)
-        else:
-            run.append(ch)
-    if run:
-        tokens.append("".join(run).lower())
-    return tokens
+    return [token.lower() for token in _SEGMENT_RE.findall(text)]
 
 
 class Vocabulary:

@@ -96,8 +96,14 @@ def shuffle_epoch(items: Sequence, shuffle_seed: int, epoch_index: int) -> list:
 class Adam:
     """Adam with bias correction; one timestep increment per step() call.
 
-    Moment buffers live in the parameters' dtype.  A parameter whose grad
-    is unset (or zero) is left unchanged by the update.
+    Moment buffers live in the parameters' dtype.  An unset grad counts as
+    zero.  A zero gradient leaves a parameter unchanged only while its
+    first moment is still zero; after a nonzero gradient the decaying
+    momentum keeps moving it.
+
+    The update overwrites moments and parameter data in place, one
+    parameter at a time with two scratch arrays, in the operation order
+    of the plain expressions, so the result is bit for bit theirs.
     """
 
     def __init__(
@@ -122,15 +128,27 @@ class Adam:
         t = self.timestep
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self._m, self._v):
             grad = p.grad
             if grad is None:
                 grad = np.zeros_like(p.data)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad * grad
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            # m = beta1 * m + (1 - beta1) * grad
+            scratch = np.multiply(grad, 1.0 - self.beta1, out=np.empty_like(grad))
+            m *= self.beta1
+            m += scratch
+            # v = beta2 * v + (1 - beta2) * grad * grad
+            np.multiply(grad, 1.0 - self.beta2, out=scratch)
+            scratch *= grad
+            v *= self.beta2
+            v += scratch
+            # p = p - learning_rate * (m / bias1) / (sqrt(v / bias2) + epsilon)
+            step = np.divide(m, bias1, out=scratch)
+            denom = np.divide(v, bias2, out=np.empty_like(v))
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            step *= self.learning_rate
+            step /= denom
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -77,6 +77,60 @@ def scalar_adam_trace(grads: list[float], start: float, lr: float, beta1: float,
     return out
 
 
+def reference_adam_step(data, grad, m, v, t: int, lr: float, beta1: float,
+                        beta2: float, epsilon: float):
+    """One bias-corrected Adam update as plain out-of-place numpy
+    expressions; returns new (data, m, v) and modifies nothing."""
+    if grad is None:
+        grad = np.zeros_like(data)
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return data - lr * m_hat / (np.sqrt(v_hat) + epsilon), m, v
+
+
+def reference_gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's value and tanh term as the plain numpy formula."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def reference_gelu_grad(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of GELU as the plain numpy formula."""
+    c = math.sqrt(2.0 / math.pi)
+    _, t = reference_gelu(x)
+    d_inner = c * (1.0 + 3.0 * 0.044715 * x * x)
+    return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+
+
+CJK_RANGES = (
+    (0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0x20000, 0x2A6DF), (0x2A700, 0x2B73F),
+    (0x2B740, 0x2B81F), (0x2B820, 0x2CEAF), (0xF900, 0xFAFF), (0x2F800, 0x2FA1F),
+)
+
+
+def loop_segment_text(text: str) -> list[str]:
+    """Segmentation by walking the characters: a CJK codepoint is a token,
+    other non-whitespace runs are lowercased tokens, whitespace delimits."""
+    tokens: list[str] = []
+    run: list[str] = []
+    for ch in text:
+        cjk = any(lo <= ord(ch) <= hi for lo, hi in CJK_RANGES)
+        if ch.isspace() or cjk:
+            if run:
+                tokens.append("".join(run).lower())
+                run = []
+            if cjk:
+                tokens.append(ch)
+        else:
+            run.append(ch)
+    if run:
+        tokens.append("".join(run).lower())
+    return tokens
+
+
 def brute_force_vote(votes_per_example: list[int]) -> int:
     """Mode with lowest-class-index tie-break, by explicit counting."""
     best_class, best_count = None, -1

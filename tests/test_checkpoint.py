@@ -1,8 +1,11 @@
 """Checkpoint tests: manifest/parameter-blob layout, exact predict
-equality after a save/load round trip, and rejection of mismatched or
-corrupt checkpoints."""
+equality after a save/load round trip, rejection of mismatched or
+corrupt checkpoints, and saves that fail part way leaving nothing that
+loads."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +182,59 @@ class TestEnsembleCheckpoint:
         (tmp_path / "ens" / "ensemble.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="ensemble.json: invalid JSON"):
             load_ensemble(tmp_path / "ens")
+
+
+class TestFailedSave:
+    """A write that fails mid-save leaves no manifest that loads, also when
+    the save overwrites a complete checkpoint."""
+
+    @pytest.fixture
+    def fail_writing(self, monkeypatch):
+        def install(file_name):
+            real_write_bytes = Path.write_bytes
+
+            def write_bytes(path, data):
+                if path.name == file_name + ".tmp":
+                    real_write_bytes(path, data[: len(data) // 2])
+                    raise OSError(f"disk full writing {path.name}")
+                return real_write_bytes(path, data)
+
+            monkeypatch.setattr(Path, "write_bytes", write_bytes)
+
+        return install
+
+    @pytest.mark.parametrize("failing", ["params.bin", "manifest.json"])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_model(self, tmp_path, setup, fail_writing, failing, overwrite):
+        vocab, config, model = setup
+        directory = tmp_path / "ckpt"
+        if overwrite:
+            save_model(init_model(replace(config, init_seed=1)), directory, vocab)
+        fail_writing(failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, directory, vocab)
+        with pytest.raises(CheckpointError, match="no model manifest"):
+            load_model(directory)
+        assert not list(directory.glob("*.tmp"))
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_ensemble(self, tmp_path, setup, fail_writing, overwrite):
+        vocab, config, model = setup
+        directory = tmp_path / "ens"
+        if overwrite:
+            save_ensemble(make_ensemble(replace(config, init_seed=1)), directory, vocab)
+        fail_writing("params.bin")
+        with pytest.raises(OSError, match="disk full"):
+            save_ensemble(make_ensemble(config), directory, vocab)
+        with pytest.raises(CheckpointError, match="no ensemble manifest"):
+            load_ensemble(directory)
+
+    def test_overwriting_save_loads_the_new_parameters(self, tmp_path, setup):
+        vocab, config, model = setup
+        directory = tmp_path / "ckpt"
+        save_model(init_model(replace(config, init_seed=1)), directory, vocab)
+        save_model(model, directory, vocab)
+        loaded, _ = load_model(directory)
+        for name, param in model.params.items():
+            assert np.array_equal(loaded.params[name].data, param.data)
+        assert sorted(p.name for p in directory.iterdir()) == ["manifest.json", "params.bin", "vocab.txt"]

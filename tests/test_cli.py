@@ -201,6 +201,24 @@ class TestRunCommand:
         assert not (tmp_path / "runs").exists()
 
 
+# Every key each nested config section reads (a synthetic spec either
+# lists its pools or sizes generated ones).
+NESTED_KEYS = {
+    "tokenizer": {"max_vocab", "min_frequency", "max_seq_len"},
+    "corpus": {"path", "synthetic"},
+    "corpus.synthetic": {
+        "num_examples", "num_classes", "noise_rate", "seed", "tokens_per_text",
+        "class_pool_size", "shared_pool_size", "class_token_pools", "shared_pool",
+    },
+}
+
+
+def nested_section(raw: dict, dotted: str) -> dict:
+    for part in dotted.split("."):
+        raw = raw[part]
+    return raw
+
+
 class TestConfigRejectedBeforeAnyWork:
     """Each bad config exits 2 before a run directory is created."""
 
@@ -242,6 +260,48 @@ class TestConfigRejectedBeforeAnyWork:
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, "3 classes", "num_classes is 2")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("tokenizer", "min_freq"), ("corpus", "paths"), ("corpus.synthetic", "noise")],
+    )
+    def test_misspelt_nested_key(self, tmp_path, capsys, section, key):
+        raw = tiny_config_dict(tmp_path / "runs")
+        nested_section(raw, section)[key] = 5
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, f"{section}:", repr(key))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        section=st.sampled_from(sorted(NESTED_KEYS)),
+        key=st.text(min_size=1, max_size=12),
+        value=st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5)),
+    )
+    def test_any_unknown_nested_key_is_rejected(self, section, key, value):
+        assume(key not in NESTED_KEYS[section])
+        raw = tiny_config_dict(Path("unused"))
+        nested_section(raw, section)[key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}:") as err:
+            parse_experiment_config(raw)
+        assert repr(key) in str(err.value)
+
+    def test_explicit_pools_reject_generated_pool_keys(self):
+        raw = {"num_examples": 4, "seed": 1, "class_token_pools": [["a"], ["b"]], "class_pool_size": 3}
+        with pytest.raises(ConfigError, match="'class_pool_size'"):
+            parse_synthetic_spec(raw, "spec")
+
+    def test_shipped_and_benchmark_configs_are_accepted(self, tmp_path, monkeypatch):
+        repo = Path(__file__).resolve().parents[1]
+        load_experiment_config(repo / "configs" / "experiment.json")
+        monkeypatch.syspath_prepend(str(repo / "perfbench"))
+        import workloads
+
+        load_experiment_config(workloads.warmup_config(tmp_path))
+        for workload in workloads.WORKLOADS.values():
+            inputs = workloads.prepare(workload, 1, tmp_path / workload.name)
+            for path in inputs.configs.values():
+                load_experiment_config(path)
 
     @settings(max_examples=60, deadline=None)
     @given(

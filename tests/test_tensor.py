@@ -10,6 +10,8 @@ from minibert import tensor as T
 from _oracles import (
     assert_grads_close,
     numeric_gradient,
+    reference_gelu,
+    reference_gelu_grad,
     scalar_gelu,
     scalar_layer_norm,
     scalar_softmax,
@@ -60,6 +62,38 @@ class TestMatmul:
 
         assert_grads_close(a.grad, numeric_gradient(loss, a.data))
         assert_grads_close(b.grad, numeric_gradient(loss, b.data))
+
+    def test_two_leading_axes_gradients(self):
+        rng = np.random.default_rng(2)
+        a, b = leaf(rng, 2, 2, 3, 4), leaf(rng, 4, 5)
+        weights = rng.standard_normal((2, 2, 3, 5))
+        ((a @ b) * T.Tensor(weights)).sum().backward()
+
+        def loss():
+            return float(((a.data @ b.data) * weights).sum())
+
+        assert_grads_close(a.grad, numeric_gradient(loss, a.data))
+        assert_grads_close(b.grad, numeric_gradient(loss, b.data))
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    @pytest.mark.parametrize("needs_grad", [(True, True), (True, False), (False, True)])
+    def test_stack_times_weight_matches_the_batched_product(self, lead, needs_grad):
+        rng = np.random.default_rng(21)
+        a = rng.uniform(-1.0, 1.0, (*lead, 4, 5)).astype(np.float32)
+        b = rng.uniform(-1.0, 1.0, (5, 6)).astype(np.float32)
+        upstream = rng.uniform(-1.0, 1.0, (*lead, 4, 6)).astype(np.float32)
+        ta = T.Tensor(a, requires_grad=needs_grad[0])
+        tb = T.Tensor(b, requires_grad=needs_grad[1])
+        ((ta @ tb) * T.Tensor(upstream)).sum().backward()
+        # one GEMM per leading index, then a sum over the leading axes
+        batched_ga = upstream @ b.T
+        batched_gb = (a.swapaxes(-1, -2) @ upstream).reshape(-1, 5, 6).sum(axis=0)
+        for tensor, expected in ((ta, batched_ga), (tb, batched_gb)):
+            if not tensor.requires_grad:
+                assert tensor.grad is None
+                continue
+            assert tensor.grad.dtype == np.float32 and tensor.grad.shape == tensor.shape
+            np.testing.assert_allclose(tensor.grad, expected, rtol=1e-6, atol=1e-6)
 
 
 class TestSoftmax:
@@ -175,6 +209,28 @@ class TestGelu:
             return float(sum(scalar_gelu(v) * w for v, w in zip(x.data, weights)))
 
         assert_grads_close(x.grad, numeric_gradient(loss, x.data))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the special values
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", ["scalar", "normal", "special"])
+    def test_equals_the_plain_formula_bit_for_bit(self, dtype, values):
+        rng = np.random.default_rng(3)
+        x = {
+            "scalar": np.array(-0.7),
+            "normal": 3.0 * rng.standard_normal((16, 64)),
+            "special": np.array([0.0, -0.0, 1e-40, -1e-300, 12.0, -12.0, np.inf, -np.inf, np.nan]),
+        }[values].astype(dtype)
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        leaf_x = T.Tensor(x, requires_grad=True)
+        out = T.gelu(leaf_x)
+        (out * T.Tensor(upstream)).sum().backward()
+        expected_value, _ = reference_gelu(x)
+        expected_grad = reference_gelu_grad(x, upstream)
+        for got, expected in ((out.data, expected_value), (leaf_x.grad, expected_grad)):
+            got, expected = np.asarray(got), np.asarray(expected)
+            assert got.dtype == dtype and got.shape == x.shape
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestCrossEntropy:
@@ -309,6 +365,41 @@ class TestMiscOps:
             return float((x.data.transpose(1, 0, 2) * weights).sum())
 
         assert_grads_close(x.grad, numeric_gradient(loss, x.data))
+
+    @pytest.mark.parametrize("rows", [2, 9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_gather_scatters_like_add_at_bit_for_bit(self, rows, dtype):
+        rng = np.random.default_rng(rows)
+        table = T.Tensor(rng.standard_normal((rows, 5)).astype(dtype), requires_grad=True)
+        ids = rng.integers(-rows, rows, size=(4, 6))
+        ids[0, :4] = [1, 1, -1, rows - 1]  # duplicates, and a negative id for a row also hit directly
+        upstream = rng.standard_normal((4, 6, 5)).astype(dtype)
+        (table[ids] * T.Tensor(upstream)).sum().backward()
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids, upstream)
+        assert table.grad.dtype == dtype
+        assert np.array_equal(table.grad, expected)
+
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ((4, 3), slice(1, 3)),
+            ((4, 3), 2),
+            ((4, 3), [0, 0, -1]),
+            ((2, 3, 4), (slice(None), 0, slice(None))),
+            ((6,), np.array([0, 5, 5, -1])),
+            ((3, 2, 2), np.array([2, 2, 0])),
+        ],
+    )
+    def test_other_keys_scatter_like_add_at(self, shape, key):
+        rng = np.random.default_rng(4)
+        x = T.Tensor(rng.standard_normal(shape), requires_grad=True)
+        picked = x[key]
+        upstream = rng.standard_normal(picked.shape)
+        (picked * T.Tensor(upstream)).sum().backward()
+        expected = np.zeros(shape)
+        np.add.at(expected, key, upstream)
+        assert np.array_equal(x.grad, expected)
 
     def test_getitem_fancy_index_accumulates_duplicates(self):
         table = T.Tensor(np.arange(8, dtype=np.float64).reshape(4, 2), requires_grad=True)

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minibert import tokenizer as tok
 from minibert.tokenizer import (
@@ -20,6 +22,14 @@ from minibert.tokenizer import (
     encode,
     segment_text,
 )
+from _oracles import CJK_RANGES, loop_segment_text
+
+# Characters where a segmentation rule changes: both sides of every CJK
+# block edge, Unicode whitespace beyond ASCII, and characters whose
+# lowercase form differs in length or depends on context.
+_EDGE_CHARS = [chr(c) for lo, hi in CJK_RANGES for c in (lo - 1, lo, hi, hi + 1)]
+_SPACE_CHARS = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000\u2028\u2029")
+_CASE_CHARS = list("İẞΣσςßǄǅﬀAz")
 
 
 class TestSegmentText:
@@ -34,6 +44,18 @@ class TestSegmentText:
 
     def test_punctuation_sticks_to_runs(self):
         assert segment_text("Hello, world!") == ["hello,", "world!"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(_EDGE_CHARS + _SPACE_CHARS + _CASE_CHARS), st.characters()
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_the_character_loop(self, text):
+        assert segment_text(text) == loop_segment_text(text)
 
     def test_resegmentation_is_stable(self):
         rng = random.Random(13)

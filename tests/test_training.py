@@ -1,6 +1,6 @@
 """Training tests: split and shuffle determinism, Adam against an
-independent scalar trace, end-to-end reproducibility, and learning on a
-separable synthetic corpus."""
+independent scalar trace and bit for bit against the out-of-place update,
+end-to-end reproducibility, and learning on a separable synthetic corpus."""
 
 import io
 
@@ -20,7 +20,7 @@ from minibert.training import (
     split_dataset,
     train,
 )
-from _oracles import scalar_adam_trace
+from _oracles import reference_adam_step, scalar_adam_trace
 
 
 class TestSplitDataset:
@@ -71,6 +71,42 @@ class TestAdam:
         opt.step()
         assert np.array_equal(p.data, before)
         assert opt.timestep == 1
+
+    def test_zero_gradient_after_a_nonzero_step_still_moves_the_parameter(self):
+        p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = Adam([p], learning_rate=0.1)
+        p.grad = np.array([0.5, -0.5])
+        opt.step()
+        for grad in (np.zeros(2), None):
+            before = p.data.copy()
+            p.grad = grad
+            opt.step()
+            # the momentum of the first step keeps pushing the same way
+            assert p.data[0] < before[0] and p.data[1] > before[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_equals_the_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(5)
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        params = [
+            T.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            for shape in ((3, 4), (4,), (2, 2), ())
+        ]
+        opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        state = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+        for step in range(1, 7):
+            for i, p in enumerate(params):
+                # parameter 2 has no gradient except on steps 2 and 3
+                has_grad = i != 2 or step in (2, 3)
+                p.grad = rng.standard_normal(p.shape).astype(dtype) if has_grad else None
+            state = [
+                reference_adam_step(data, p.grad, m, v, step, lr, b1, b2, eps)
+                for (data, m, v), p in zip(state, params)
+            ]
+            opt.step()
+            for p, (data, _, _) in zip(params, state):
+                assert p.data.dtype == dtype and p.data.shape == data.shape
+                assert np.array_equal(p.data, data)
 
     def test_first_step_is_signed_learning_rate(self):
         p = T.Tensor(np.array([0.0, 0.0], dtype=np.float64), requires_grad=True)
