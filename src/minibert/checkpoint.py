@@ -5,7 +5,8 @@ config plus a name/shape index of every parameter), ``params.bin`` (the
 parameters as little-endian float32, concatenated in manifest order),
 and ``vocab.txt``.  An ensemble checkpoint is a directory of member
 checkpoints plus ``ensemble.json``.  Loading rejects any shape, name, or
-size mismatch.
+size mismatch.  ``save_checkpoint`` and ``load_checkpoint`` pick the
+format for the caller.
 
 Saving removes the old manifest first and writes the new one last;
 ``params.bin`` and the manifests go to a temporary name that
@@ -214,3 +215,25 @@ def load_ensemble(directory: str | Path) -> tuple[EnsembleModel, Vocabulary]:
 
 def is_ensemble_checkpoint(directory: str | Path) -> bool:
     return (Path(directory) / ENSEMBLE_MANIFEST).exists()
+
+
+def save_checkpoint(
+    predictor: ClassifierModel | EnsembleModel, directory: str | Path, vocab: Vocabulary
+) -> Path:
+    """Save a model or an ensemble, each in its own format."""
+    if isinstance(predictor, EnsembleModel):
+        return save_ensemble(predictor, directory, vocab)
+    return save_model(predictor, directory, vocab)
+
+
+def load_checkpoint(
+    directory: str | Path,
+) -> tuple[ClassifierModel | EnsembleModel, Vocabulary, ModelConfig]:
+    """Load the ensemble or, without ``ensemble.json``, the model in
+    ``directory``, with its vocabulary and the model shape its inputs are
+    encoded for (an ensemble's member shape)."""
+    if is_ensemble_checkpoint(directory):
+        ensemble, vocab = load_ensemble(directory)
+        return ensemble, vocab, ensemble.config.member_model_config
+    model, vocab = load_model(directory)
+    return model, vocab, model.config

@@ -16,22 +16,16 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import is_ensemble_checkpoint, load_ensemble, load_model
+from .checkpoint import load_checkpoint
 from .corpus import load_csv, save_csv, generate_synthetic
+from .ensemble import evaluate
 from .errors import CheckpointError, ConfigError, CorpusError
-from .evaluation import (
-    ConfusionMatrix,
-    accuracy_per_minute,
-    confusion_matrix,
-    metrics,
-    round_half_up,
-)
+from .evaluation import ConfusionMatrix, accuracy_per_minute, metrics, round_half_up
 from .experiment import (
     load_experiment_config,
     parse_synthetic_spec,
     run_experiment,
 )
-from .model import example_labels
 from .tokenizer import encode
 
 EXIT_OK = 0
@@ -109,7 +103,7 @@ def _cmd_run(args) -> int:
     print(f"run artifacts written to {result.run_dir}")
     for variant in result.variants:
         print(
-            f"  {variant.name}: accuracy={variant.metrics.accuracy:.4f} "
+            f"  {variant.name}: accuracy={variant.evaluation.metrics.accuracy:.4f} "
             f"minutes={variant.timing.training_minutes:.2f}"
         )
     return EXIT_OK
@@ -121,12 +115,7 @@ def _cmd_eval(args) -> int:
         print(f"error: checkpoint not found: {checkpoint}", file=sys.stderr)
         return EXIT_RUNTIME
     corpus = load_csv(args.corpus)
-    if is_ensemble_checkpoint(checkpoint):
-        ensemble, vocab = load_ensemble(checkpoint)
-        config = ensemble.members[0].config
-    else:
-        model, vocab = load_model(checkpoint)
-        config = model.config
+    predictor, vocab, config = load_checkpoint(checkpoint)
     if corpus.num_classes > config.num_classes:
         print(
             f"error: corpus has {corpus.num_classes} classes but the checkpoint "
@@ -137,18 +126,17 @@ def _cmd_eval(args) -> int:
     examples = [
         encode(text, vocab, config.max_seq_len, label) for text, label in corpus.records
     ]
-    labels = example_labels(examples)
+    evaluation = evaluate(predictor, examples)
+    report = evaluation.metrics
 
-    payload: dict = {"checkpoint": str(checkpoint), "corpus": str(args.corpus)}
-    if is_ensemble_checkpoint(checkpoint):
-        prediction = ensemble.predict(examples)
-        report = metrics(confusion_matrix(prediction.labels, labels, config.num_classes))
-        payload["member_accuracies"] = prediction.member_accuracies(labels)
-        payload["disagreement_count"] = prediction.disagreement_count
-    else:
-        predicted = model.predict(examples)
-        report = metrics(confusion_matrix(predicted, labels, config.num_classes))
-    payload["metrics"] = report.as_dict()
+    payload: dict = {
+        "checkpoint": str(checkpoint),
+        "corpus": str(args.corpus),
+        "metrics": report.as_dict(),
+    }
+    if evaluation.member_accuracies is not None:
+        payload["member_accuracies"] = evaluation.member_accuracies
+        payload["disagreement_count"] = evaluation.disagreement_count
 
     if args.json:
         print(json.dumps(payload, sort_keys=True))

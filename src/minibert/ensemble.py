@@ -11,6 +11,7 @@ An evaluation runs each member's forward pass exactly once, with no
 autodiff graph: majority voting needs each member's labels, average
 voting each member's probabilities, and the member labels, the
 disagreement count and the per-member accuracies all follow from those.
+``evaluate`` scores that pass for a model and an ensemble alike.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .model import ClassifierModel, ModelConfig, init_model
+from .evaluation import MetricsReport, confusion_matrix, metrics
+from .model import ClassifierModel, ModelConfig, example_labels, init_model
 from .tokenizer import EncodedExample
 from .training import TrainConfig, TrainRun, train
 
@@ -41,13 +43,17 @@ class EnsembleConfig:
     voting: str = MAJORITY
 
     def __post_init__(self):
-        if self.n_members < 1:
-            raise ConfigError(f"n_members must be >= 1, got {self.n_members}")
-        if len(self.member_shuffle_seeds) != self.n_members:
+        if type(self.n_members) is not int or self.n_members < 1:
+            raise ConfigError(f"n_members must be an integer >= 1, got {self.n_members!r}")
+        seeds = self.member_shuffle_seeds
+        if not isinstance(seeds, list) or any(type(seed) is not int for seed in seeds):
+            raise ConfigError(f"member_shuffle_seeds must be a list of integers, got {seeds!r}")
+        if len(seeds) != self.n_members:
             raise ConfigError(
-                f"need exactly {self.n_members} member_shuffle_seeds, "
-                f"got {len(self.member_shuffle_seeds)}"
+                f"need exactly {self.n_members} member_shuffle_seeds, got {len(seeds)}"
             )
+        if not isinstance(self.shared_init, bool):
+            raise ConfigError(f"shared_init must be true or false, got {self.shared_init!r}")
         if self.voting not in VOTING_RULES:
             raise ConfigError(f"voting must be one of {VOTING_RULES}, got {self.voting!r}")
 
@@ -177,6 +183,33 @@ def predict_ensemble(
     return EnsemblePrediction(
         labels=labels, member_labels=member_labels, disagreement_count=disagreement
     )
+
+
+@dataclass
+class Evaluation:
+    """Scores of one prediction pass over labelled examples.  Only an
+    ensemble's evaluation carries member accuracies and a disagreement count."""
+
+    metrics: MetricsReport
+    member_accuracies: list[float] | None = None
+    disagreement_count: int | None = None
+
+
+def evaluate(
+    predictor: ClassifierModel | EnsembleModel, examples: list[EncodedExample]
+) -> Evaluation:
+    """Predict ``examples`` once with a model or an ensemble and score the labels."""
+    labels = example_labels(examples)
+    if isinstance(predictor, EnsembleModel):
+        prediction = predictor.predict(examples)
+        num_classes = predictor.config.member_model_config.num_classes
+        return Evaluation(
+            metrics(confusion_matrix(prediction.labels, labels, num_classes)),
+            member_accuracies=prediction.member_accuracies(labels),
+            disagreement_count=prediction.disagreement_count,
+        )
+    predicted = predictor.predict(examples)
+    return Evaluation(metrics(confusion_matrix(predicted, labels, predictor.config.num_classes)))
 
 
 def _validated_votes(member_labels) -> np.ndarray:

@@ -12,39 +12,34 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TextIO
 
-from .checkpoint import save_ensemble, save_model
+from .checkpoint import save_checkpoint
 from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv
-from .ensemble import EnsembleConfig, train_ensemble
+from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
 from .errors import ConfigError, TrainingError
-from .evaluation import (
-    ComparisonReport,
-    MetricsReport,
-    TimingRecord,
-    compare_report,
-    confusion_matrix,
-    metrics,
-)
-from .model import ModelConfig, example_labels, init_model
+from .evaluation import ComparisonReport, TimingRecord, compare_report
+from .model import ModelConfig, init_model
 from .tokenizer import MIN_SEQ_LEN, Vocabulary, build_vocab, encode
 from .training import TrainConfig, TrainRun, split_dataset, train
 
 
 @dataclass
 class VariantSpec:
-    """One model to train and evaluate: a single stack or an ensemble."""
+    """One model to train and evaluate: a single ``num_layers`` stack, or
+    an ensemble of such stacks when ``ensemble`` is set.  The ensemble's
+    member model config is a placeholder until the vocabulary is built."""
 
     name: str
-    kind: str  # "single" | "ensemble"
     num_layers: int = 1
-    n_members: int = 3
-    member_shuffle_seeds: list[int] = field(default_factory=list)
-    shared_init: bool = True
-    voting: str = "majority"
+    ensemble: EnsembleConfig | None = None
     gated: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "single" if self.ensemble is None else "ensemble"
 
 
 @dataclass
@@ -63,7 +58,8 @@ class ExperimentConfig:
 _TOP_LEVEL_KEYS = ("corpus", "tokenizer", "model", "train", "variants", "output_dir")
 _CORPUS_KEYS = ("path", "synthetic")
 _TOKENIZER_KEYS = ("max_vocab", "min_frequency", "max_seq_len")
-_VARIANT_KEYS = tuple(f.name for f in fields(VariantSpec))
+_VARIANT_KEYS = ("name", "kind", "num_layers", "gated")
+_ENSEMBLE_KEYS = ("n_members", "member_shuffle_seeds", "shared_init", "voting")
 _SYNTHETIC_KEYS = ("num_examples", "seed", "tokens_per_text", "noise_rate")
 _EXPLICIT_POOL_KEYS = _SYNTHETIC_KEYS + ("class_token_pools", "shared_pool")
 _BALANCED_POOL_KEYS = _SYNTHETIC_KEYS + ("num_classes", "class_pool_size", "shared_pool_size")
@@ -131,36 +127,10 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not variants_raw:
         raise ConfigError("variants: at least one variant is required")
     variants = []
-    names = set()
     for i, entry in enumerate(variants_raw):
-        where = f"variants[{i}]"
-        _reject_unknown_keys(entry, _VARIANT_KEYS, where)
-        name = _require(entry, "name", where)
-        if name in names:
-            raise ConfigError(f"{where}: duplicate variant name {name!r}")
-        names.add(name)
-        kind = _require(entry, "kind", where)
-        if kind not in ("single", "ensemble"):
-            raise ConfigError(f"{where}: kind must be 'single' or 'ensemble', got {kind!r}")
-        spec = VariantSpec(
-            name=name,
-            kind=kind,
-            num_layers=entry.get("num_layers", 1),
-            n_members=entry.get("n_members", 3),
-            member_shuffle_seeds=list(entry.get("member_shuffle_seeds", [])),
-            shared_init=entry.get("shared_init", True),
-            voting=entry.get("voting", "majority"),
-            gated=entry.get("gated", False),
-        )
-        if spec.num_layers < 1:
-            raise ConfigError(f"{where}: num_layers must be >= 1")
-        if kind == "ensemble" and not spec.member_shuffle_seeds:
-            raise ConfigError(f"{where}: ensembles must state member_shuffle_seeds explicitly")
-        if kind == "ensemble" and len(spec.member_shuffle_seeds) != spec.n_members:
-            raise ConfigError(
-                f"{where}: expected {spec.n_members} member_shuffle_seeds, "
-                f"got {len(spec.member_shuffle_seeds)}"
-            )
+        spec = parse_variant(entry, f"variants[{i}]", model)
+        if spec.name in {v.name for v in variants}:
+            raise ConfigError(f"variants[{i}]: duplicate variant name {spec.name!r}")
         variants.append(spec)
 
     return ExperimentConfig(
@@ -174,6 +144,36 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         variants=variants,
         output_dir=raw.get("output_dir", "runs"),
     )
+
+
+def parse_variant(entry: dict, where: str, model: ModelConfig) -> VariantSpec:
+    """One ``variants`` entry; ensemble keys are accepted only by ensembles."""
+    _reject_unknown_keys(entry, _VARIANT_KEYS + _ENSEMBLE_KEYS, where)
+    name = _require(entry, "name", where)
+    where = f"{where} {name!r}"
+    kind = _require(entry, "kind", where)
+    if kind not in ("single", "ensemble"):
+        raise ConfigError(f"{where}: kind must be 'single' or 'ensemble', got {kind!r}")
+    num_layers = entry.get("num_layers", 1)
+    if type(num_layers) is not int or num_layers < 1:
+        raise ConfigError(f"{where}: num_layers must be an integer >= 1, got {num_layers!r}")
+    gated = entry.get("gated", False)
+    if not isinstance(gated, bool):
+        raise ConfigError(f"{where}: gated must be true or false, got {gated!r}")
+    ensemble_keys = {key: entry[key] for key in _ENSEMBLE_KEYS if key in entry}
+    if kind == "single":
+        if ensemble_keys:
+            raise ConfigError(f"{where}: {sorted(ensemble_keys)} apply only to kind 'ensemble'")
+        return VariantSpec(name=name, num_layers=num_layers, gated=gated)
+    if "member_shuffle_seeds" not in ensemble_keys:
+        raise ConfigError(f"{where}: ensembles must state member_shuffle_seeds explicitly")
+    try:
+        ensemble = EnsembleConfig(
+            member_model_config=replace(model, num_layers=num_layers), **ensemble_keys
+        )
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    return VariantSpec(name=name, num_layers=num_layers, ensemble=ensemble, gated=gated)
 
 
 def parse_synthetic_spec(section: dict, where: str) -> SyntheticSpec:
@@ -218,13 +218,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 class VariantResult:
     name: str
     kind: str
-    metrics: MetricsReport
+    evaluation: Evaluation
     timing: TimingRecord
     runs: list[TrainRun] = field(repr=False)
-    wall_clock_seconds: float = 0.0
-    checkpoint_dir: Path | None = None
-    member_val_accuracies: list[float] = field(default_factory=list)
-    disagreement_count: int | None = None
 
 
 @dataclass
@@ -317,7 +313,7 @@ def run_experiment(
             except Exception as err:
                 raise TrainingError(f"variant {variant.name!r}: {err}") from err
 
-    comparison = compare_report([(r.name, r.metrics, r.timing) for r in results])
+    comparison = compare_report([(r.name, r.evaluation.metrics, r.timing) for r in results])
     _write_reports(run_dir, results, comparison, skipped)
     return ExperimentResult(
         run_dir=run_dir, variants=results, comparison=comparison, skipped_gated=skipped
@@ -335,73 +331,28 @@ def _run_variant(
     stream: TextIO,
 ) -> VariantResult:
     member_config = replace(model_config, num_layers=variant.num_layers)
-    checkpoint_dir = run_dir / "checkpoints" / variant.name
-    val_labels = example_labels(val_set)
-
-    if variant.kind == "single":
-        model = init_model(member_config)
-        run = train(
-            model,
+    if variant.ensemble is None:
+        predictor = init_model(member_config)
+        prefix = f"variant={variant.name} "
+        runs = [train(predictor, train_set, val_set, train_config, stream, prefix)]
+    else:
+        predictor, runs = train_ensemble(
             train_set,
             val_set,
+            replace(variant.ensemble, member_model_config=member_config),
             train_config,
             log_stream=stream,
-            log_prefix=f"variant={variant.name} ",
         )
-        predicted = model.predict(val_set)
-        save_model(model, checkpoint_dir, vocab)
-        report = metrics(confusion_matrix(predicted, val_labels, member_config.num_classes))
-        timing = TimingRecord(
-            model_name=variant.name,
-            training_minutes=run.total_minutes,
-            accuracy=report.accuracy,
-        )
-        return VariantResult(
-            name=variant.name,
-            kind="single",
-            metrics=report,
-            timing=timing,
-            runs=[run],
-            wall_clock_seconds=run.total_seconds,
-            checkpoint_dir=checkpoint_dir,
-        )
-
-    ensemble_config = EnsembleConfig(
-        member_model_config=member_config,
-        n_members=variant.n_members,
-        shared_init=variant.shared_init,
-        member_shuffle_seeds=list(variant.member_shuffle_seeds),
-        voting=variant.voting,
-    )
-    training_started = time.perf_counter()
-    ensemble, runs = train_ensemble(
-        train_set,
-        val_set,
-        ensemble_config,
-        train_config,
-        log_stream=stream,
-    )
-    wall_clock = time.perf_counter() - training_started
-    prediction = ensemble.predict(val_set)
-    save_ensemble(ensemble, checkpoint_dir, vocab)
-    report = metrics(confusion_matrix(prediction.labels, val_labels, member_config.num_classes))
+    save_checkpoint(predictor, run_dir / "checkpoints" / variant.name, vocab)
+    evaluation = evaluate(predictor, val_set)
     # comparisons rank on summed member time, the ensemble's training cost
-    summed_seconds = sum(run.total_seconds for run in runs)
     timing = TimingRecord(
         model_name=variant.name,
-        training_minutes=summed_seconds / 60.0,
-        accuracy=report.accuracy,
+        training_minutes=sum(run.total_seconds for run in runs) / 60.0,
+        accuracy=evaluation.metrics.accuracy,
     )
     return VariantResult(
-        name=variant.name,
-        kind="ensemble",
-        metrics=report,
-        timing=timing,
-        runs=runs,
-        wall_clock_seconds=wall_clock,
-        checkpoint_dir=checkpoint_dir,
-        member_val_accuracies=prediction.member_accuracies(val_labels),
-        disagreement_count=prediction.disagreement_count,
+        name=variant.name, kind=variant.kind, evaluation=evaluation, timing=timing, runs=runs
     )
 
 
@@ -412,21 +363,7 @@ def _write_reports(
     skipped: list[str],
 ) -> None:
     metrics_doc = {
-        "variants": {
-            r.name: {
-                "kind": r.kind,
-                **r.metrics.as_dict(),
-                **(
-                    {
-                        "member_val_accuracies": r.member_val_accuracies,
-                        "disagreement_count": r.disagreement_count,
-                    }
-                    if r.kind == "ensemble"
-                    else {}
-                ),
-            }
-            for r in results
-        },
+        "variants": {r.name: _metrics_entry(r) for r in results},
         "pairs": [p.as_dict() for p in comparison.pairs],
         "skipped_gated": skipped,
     }
@@ -437,7 +374,6 @@ def _write_reports(
     timing_doc = {
         r.name: {
             **r.timing.as_dict(),
-            "wall_clock_seconds": r.wall_clock_seconds,
             "per_epoch_seconds": [
                 [e.seconds for e in run.epochs] for run in r.runs
             ],
@@ -460,6 +396,17 @@ def _write_reports(
         comparison.timing_markdown(),
     ]
     (run_dir / "report.md").write_text("\n".join(report), encoding="utf-8")
+
+
+def _metrics_entry(result: VariantResult) -> dict:
+    """A variant's ``metrics.json`` entry; only an ensemble's evaluation
+    adds the member fields."""
+    evaluation = result.evaluation
+    entry = {"kind": result.kind, **evaluation.metrics.as_dict()}
+    if evaluation.member_accuracies is not None:
+        entry["member_val_accuracies"] = evaluation.member_accuracies
+        entry["disagreement_count"] = evaluation.disagreement_count
+    return entry
 
 
 class _Tee:

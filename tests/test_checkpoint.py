@@ -1,7 +1,7 @@
 """Checkpoint tests: manifest/parameter-blob layout, exact predict
 equality after a save/load round trip, rejection of mismatched or
 corrupt checkpoints, and saves that fail part way leaving nothing that
-loads."""
+loads; ``load_checkpoint`` and ``save_checkpoint`` pick the format."""
 
 import json
 from dataclasses import replace
@@ -12,14 +12,16 @@ import pytest
 
 from minibert.checkpoint import (
     is_ensemble_checkpoint,
+    load_checkpoint,
     load_ensemble,
     load_model,
+    save_checkpoint,
     save_ensemble,
     save_model,
 )
 from minibert.ensemble import EnsembleConfig, EnsembleModel
 from minibert.errors import CheckpointError
-from minibert.model import ModelConfig, init_model
+from minibert.model import ClassifierModel, ModelConfig, init_model
 from minibert.tokenizer import build_vocab, encode
 
 
@@ -182,6 +184,37 @@ class TestEnsembleCheckpoint:
         (tmp_path / "ens" / "ensemble.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="ensemble.json: invalid JSON"):
             load_ensemble(tmp_path / "ens")
+
+
+class TestEitherFormat:
+    def test_model_directory_loads_a_model(self, tmp_path, setup):
+        vocab, config, model = setup
+        save_checkpoint(model, tmp_path / "ckpt", vocab)
+        assert not is_ensemble_checkpoint(tmp_path / "ckpt")
+        loaded, loaded_vocab, loaded_config = load_checkpoint(tmp_path / "ckpt")
+        assert isinstance(loaded, ClassifierModel)
+        assert loaded_config == config
+        assert loaded_vocab.id_to_token == vocab.id_to_token
+        examples = random_examples(vocab, 20, np.random.default_rng(3))
+        assert np.array_equal(loaded.predict(examples), model.predict(examples))
+
+    def test_ensemble_directory_loads_an_ensemble(self, tmp_path, setup):
+        vocab, config, _ = setup
+        ensemble = make_ensemble(config, n_members=3)
+        save_checkpoint(ensemble, tmp_path / "ens", vocab)
+        assert is_ensemble_checkpoint(tmp_path / "ens")
+        loaded, loaded_vocab, loaded_config = load_checkpoint(tmp_path / "ens")
+        assert isinstance(loaded, EnsembleModel)
+        assert loaded.config == ensemble.config
+        assert loaded_config == config
+        assert loaded_vocab.id_to_token == vocab.id_to_token
+        examples = random_examples(vocab, 20, np.random.default_rng(4))
+        assert np.array_equal(loaded.predict(examples).labels, ensemble.predict(examples).labels)
+
+    def test_empty_directory_rejected(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(CheckpointError, match="no model manifest"):
+            load_checkpoint(tmp_path / "empty")
 
 
 class TestFailedSave:

@@ -116,11 +116,20 @@ class TestRunCommand:
 
         timing_doc = json.loads((run_dir / "timing.json").read_text())
         assert timing_doc["ensemble-3x1"]["training_minutes"] > 0
-        assert timing_doc["ensemble-3x1"]["wall_clock_seconds"] > 0
+        assert timing_doc["ensemble-3x1"]["training_minutes"] * 60 == pytest.approx(
+            sum(timing_doc["ensemble-3x1"]["per_run_seconds"])
+        )
         assert len(timing_doc["ensemble-3x1"]["per_run_seconds"]) == 3
 
         for artifact in ("train.csv", "val.csv", "vocab.txt", "train_log.txt"):
             assert (run_dir / artifact).exists()
+
+    def test_metrics_entries_keep_their_key_sets(self, completed_run):
+        _, run_dir = completed_run
+        entries = json.loads((run_dir / "metrics.json").read_text())["variants"]
+        single = {"kind", "accuracy", "precision", "recall", "f1", "undefined", "confusion"}
+        assert set(entries["single-3layer"]) == single
+        assert set(entries["ensemble-3x1"]) == single | {"member_val_accuracies", "disagreement_count"}
 
     def test_zero_variants_is_config_error(self, tmp_path, capsys):
         config_path = tiny_config(tmp_path, variants=[])
@@ -249,6 +258,41 @@ class TestConfigRejectedBeforeAnyWork:
             ],
         )
         self.assert_rejected(tmp_path, capsys, config_path, "variants[0]", "'n_member'")
+
+    @pytest.mark.parametrize(
+        "variant, key, value",
+        [
+            ("ensemble-3x1", "voting", "plurality"),
+            ("ensemble-3x1", "n_members", "3"),
+            ("ensemble-3x1", "shared_init", "no"),
+            ("single-3layer", "num_layers", "3"),
+            ("single-3layer", "num_layers", True),
+            ("single-3layer", "num_layers", 0),
+            ("single-3layer", "gated", "no"),
+        ],
+    )
+    def test_bad_variant_value(self, tmp_path, capsys, variant, key, value):
+        """Rejected at parse time even when another variant comes first."""
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["variants"].sort(key=lambda entry: entry["name"] == variant)
+        next(v for v in raw["variants"] if v["name"] == variant)[key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, repr(variant), key, repr(value))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_members", 3), ("member_shuffle_seeds", [1, 2, 3]), ("shared_init", True),
+         ("voting", "majority")],
+    )
+    def test_ensemble_key_on_single_variant(self, tmp_path, capsys, key, value):
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["variants"][1][key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(
+            tmp_path, capsys, config_path, "variants[1] 'single-3layer'", repr(key), "'ensemble'"
+        )
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         config_path = tiny_config(tmp_path, outptu_dir="elsewhere")

@@ -1,7 +1,7 @@
 """Ensemble tests: voting rules against a brute-force mode oracle,
 permutation invariance, degenerate single-member ensembles, member
-diversity from distinct shuffle seeds, and one forward pass per member
-per evaluation."""
+diversity from distinct shuffle seeds, one forward pass per member
+per evaluation, and ``evaluate`` scoring models and ensembles alike."""
 
 import dataclasses
 import itertools
@@ -16,11 +16,13 @@ from minibert.ensemble import (
     EnsembleModel,
     EnsemblePrediction,
     average_vote,
+    evaluate,
     majority_vote,
     train_ensemble,
 )
 from minibert.errors import ConfigError
-from minibert.model import ClassifierModel, ModelConfig, init_model
+from minibert.evaluation import confusion_matrix, metrics
+from minibert.model import ClassifierModel, ModelConfig, example_labels, init_model
 from minibert.tokenizer import build_vocab, encode
 from minibert.training import TrainConfig, accuracy, split_dataset
 from _oracles import brute_force_vote
@@ -273,3 +275,33 @@ class TestOnePassPrediction:
         )
         with pytest.raises(ValueError, match="empty"):
             empty.member_accuracies([])
+
+
+class TestEvaluate:
+    def test_model_scores_its_predictions_and_has_no_member_fields(self, trained_setup):
+        model_config, _, val_set, _ = trained_setup
+        model = init_model(dataclasses.replace(model_config, init_scale=0.5))
+        expected = metrics(confusion_matrix(model.predict(val_set), example_labels(val_set), 2))
+        evaluation = evaluate(model, val_set)
+        assert evaluation.metrics.as_dict() == expected.as_dict()
+        assert evaluation.member_accuracies is None
+        assert evaluation.disagreement_count is None
+
+    def test_ensemble_fields_come_from_its_prediction(self, trained_setup, monkeypatch):
+        model_config, _, val_set, _ = trained_setup
+        base = dataclasses.replace(model_config, init_scale=0.5)
+        members = [init_model(dataclasses.replace(base, init_seed=s)) for s in (1, 2, 3)]
+        ensemble = EnsembleModel(
+            members,
+            EnsembleConfig(member_model_config=base, n_members=3, member_shuffle_seeds=[1, 2, 3]),
+        )
+        labels = example_labels(val_set)
+        prediction = ensemble.predict(val_set)
+
+        rows = count_forward_rows(monkeypatch)
+        evaluation = evaluate(ensemble, val_set)
+        assert rows == {id(m): len(val_set) for m in members}
+        expected = metrics(confusion_matrix(prediction.labels, labels, 2))
+        assert evaluation.metrics.as_dict() == expected.as_dict()
+        assert evaluation.member_accuracies == prediction.member_accuracies(labels)
+        assert evaluation.disagreement_count == prediction.disagreement_count > 0
