@@ -112,7 +112,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     model_section.setdefault("vocab_size", max_vocab)  # placeholder, rebuilt after vocab
     try:
         model = ModelConfig(**model_section)
-    except TypeError as err:
+    except (TypeError, ConfigError) as err:
         raise ConfigError(f"model: {err}") from None
 
     train_section = dict(_require(raw, "train", "config"))
@@ -120,7 +120,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     _require(train_section, "split_seed", "train")
     try:
         train_config = TrainConfig(**train_section)
-    except TypeError as err:
+    except (TypeError, ConfigError) as err:
         raise ConfigError(f"train: {err}") from None
 
     variants_raw = _require(raw, "variants", "config")
@@ -150,6 +150,12 @@ def parse_variant(entry: dict, where: str, model: ModelConfig) -> VariantSpec:
     """One ``variants`` entry; ensemble keys are accepted only by ensembles."""
     _reject_unknown_keys(entry, _VARIANT_KEYS + _ENSEMBLE_KEYS, where)
     name = _require(entry, "name", where)
+    # the name becomes a directory under checkpoints/
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(
+            f"{where}: name must be a nonempty string without '/' or '\\' "
+            f"and not '.' or '..', got {name!r}"
+        )
     where = f"{where} {name!r}"
     kind = _require(entry, "kind", where)
     if kind not in ("single", "ensemble"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, check_number_fields
 from .tokenizer import (
     MASK_ID,
     NUM_SPECIAL_TOKENS,
@@ -41,6 +41,7 @@ class ModelConfig:
     init_scale: float = 0.02
 
     def __post_init__(self):
+        check_number_fields(self)
         counts = {
             "vocab_size": self.vocab_size,
             "hidden_dim": self.hidden_dim,
@@ -170,17 +171,11 @@ class ClassifierModel:
         positions = self.params["embed.position"][0:seq_len]
         return words + segments + positions
 
-    def encoder_layer(
-        self,
-        x: T.Tensor,
-        attention_mask: np.ndarray,
-        layer_index: int,
-        return_attention: bool = False,
-    ):
+    def encoder_layer(self, x: T.Tensor, attention_mask: np.ndarray, layer_index: int) -> T.Tensor:
         """One post-layer-norm residual block over (B, S, H) activations.
 
         Attention scores are scaled by 1/sqrt(head_dim); PAD key positions
-        receive a -1e9 additive bias before softmax, so in float32 they
+        receive a -1e9 additive bias inside the softmax, so in float32 they
         carry exactly zero weight.  That is what lets ``trim_padding`` cut a
         batch to its longest real sequence before it reaches the encoder
         without changing any result.
@@ -194,24 +189,21 @@ class ClassifierModel:
         def split_heads(t: T.Tensor) -> T.Tensor:
             return t.reshape(batch, seq, nh, hd).transpose(0, 2, 1, 3)
 
-        q = split_heads(x @ p[pre + "q_w"] + p[pre + "q_b"])
-        k = split_heads(x @ p[pre + "k_w"] + p[pre + "k_b"])
-        v = split_heads(x @ p[pre + "v_w"] + p[pre + "v_b"])
+        q = split_heads(T.matmul(x, p[pre + "q_w"], p[pre + "q_b"]))
+        k = split_heads(T.matmul(x, p[pre + "k_w"], p[pre + "k_b"]))
+        v = split_heads(T.matmul(x, p[pre + "v_w"], p[pre + "v_b"]))
 
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(hd))
         mask = np.asarray(attention_mask, dtype=x.dtype).reshape(batch, 1, 1, seq)
-        scores = scores + T.Tensor((1.0 - mask) * ATTENTION_MASK_BIAS)
-        weights = T.softmax(scores, axis=-1)
+        weights = T.softmax(scores, axis=-1, bias=(1.0 - mask) * ATTENTION_MASK_BIAS)
 
         context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, hidden)
-        attended = context @ p[pre + "out_w"] + p[pre + "out_b"]
-        h = T.layer_norm(x + attended, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        attended = T.matmul(context, p[pre + "out_w"], p[pre + "out_b"])
+        h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"], residual=attended)
 
-        ff = T.gelu(h @ p[pre + "ff1_w"] + p[pre + "ff1_b"]) @ p[pre + "ff2_w"] + p[pre + "ff2_b"]
-        out = T.layer_norm(h + ff, p[pre + "ln2_g"], p[pre + "ln2_b"])
-        if return_attention:
-            return out, weights.data
-        return out
+        ff = T.gelu(T.matmul(h, p[pre + "ff1_w"], p[pre + "ff1_b"]))
+        ff = T.matmul(ff, p[pre + "ff2_w"], p[pre + "ff2_b"])
+        return T.layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"], residual=ff)
 
     def encode(
         self, token_ids: np.ndarray, segment_ids: np.ndarray, attention_mask: np.ndarray
@@ -228,8 +220,8 @@ class ClassifierModel:
         """Class logits (B, C) from the [CLS] hidden state through the head."""
         hidden = self.encode(token_ids, segment_ids, attention_mask)
         cls = hidden[:, 0, :]
-        pooled = T.tanh(cls @ self.params["head.hidden_w"] + self.params["head.hidden_b"])
-        return pooled @ self.params["head.out_w"] + self.params["head.out_b"]
+        pooled = T.tanh(T.matmul(cls, self.params["head.hidden_w"], self.params["head.hidden_b"]))
+        return T.matmul(pooled, self.params["head.out_w"], self.params["head.out_b"])
 
     # -- batched inference ------------------------------------------------
 

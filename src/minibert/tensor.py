@@ -6,6 +6,11 @@ reshape/transpose/indexing, reductions, tanh, GELU, softmax, layer
 normalization and cross-entropy.  float32 is the working precision;
 float64 inputs keep their dtype so numerical checks can run in double
 precision.  All computation is deterministic for identical inputs.
+
+Three ops fold a neighbouring add into their own node, which saves one
+graph node and one stored activation each: ``matmul(a, w, bias)``,
+``layer_norm(x, gain, bias, residual=r)`` and ``softmax(x, bias=mask)``.
+Each gives results bit for bit equal to its unfused composition.
 """
 
 from __future__ import annotations
@@ -122,6 +127,11 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        # Keys whose buffer this loop allocated as the sum of two contributions.
+        # Only those take later contributions in place: any other buffer may
+        # be shared, as ``add`` hands one array to both parents, ``reshape``
+        # returns views and a residual ``layer_norm`` gives one array to two.
+        owned: set[int] = set()
         for node in reversed(topo):
             grad = grads.pop(id(node), None)
             if grad is None:
@@ -134,7 +144,13 @@ class Tensor:
                 if contribution is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                grads[key] = contribution if key not in grads else grads[key] + contribution
+                if key not in grads:
+                    grads[key] = contribution
+                elif key in owned and contribution.dtype == grads[key].dtype:
+                    grads[key] += contribution
+                else:
+                    grads[key] = grads[key] + contribution
+                    owned.add(key)
 
     # -- operator sugar -------------------------------------------------
 
@@ -266,8 +282,12 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
     """Matrix product; leading dimensions broadcast like ``numpy.matmul``.
+
+    ``matmul(a, w, bias)`` is ``a @ w + bias`` as one node: the bias, of
+    shape ``(w.shape[-1],)``, is added in place to the fresh product, and
+    its gradient is the output gradient summed over the leading axes.
 
     Backward: dA = dC @ B^T and dB = A^T @ dC, summed over broadcast axes.
     A stack of rows times a 2-D weight, (..., K) @ (K, N), runs each
@@ -282,6 +302,14 @@ def matmul(a, b) -> Tensor:
     # The forward stays numpy's batched product: flattening it was measured
     # slower for 64x64 weights at evaluation shapes.
     data = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (b.shape[-1],):
+            raise ShapeError(f"matmul bias must have shape ({b.shape[-1]},), got {bias.shape}")
+        # a bias of another dtype promotes the result, as the plain sum does
+        data = np.add(data, bias.data, out=data if bias.dtype == data.dtype else None)
+        parents = (a, b, bias)
 
     def vjp(grad):
         ga = gb = None
@@ -292,14 +320,16 @@ def matmul(a, b) -> Tensor:
                 ga = (grad_rows @ b.data.T).reshape(a.data.shape)
             if b.requires_grad:
                 gb = rows.T @ grad_rows
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(grad @ b.data.swapaxes(-1, -2), a.data.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(a.data.swapaxes(-1, -2) @ grad, b.data.shape)
+        if bias is None:
             return ga, gb
-        if a.requires_grad:
-            ga = _unbroadcast(grad @ b.data.swapaxes(-1, -2), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ grad, b.data.shape)
-        return ga, gb
+        return ga, gb, _unbroadcast(grad, bias.data.shape) if bias.requires_grad else None
 
-    return _make(data, (a, b), vjp)
+    return _make(data, parents, vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -431,24 +461,51 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,), vjp)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, computed with max subtraction for stability."""
+def softmax(x: Tensor, axis: int = -1, bias=None) -> Tensor:
+    """Softmax along ``axis``, computed with max subtraction for stability.
+
+    ``bias`` is an optional constant array added to ``x`` first, such as
+    the attention mask's large negative bias on PAD keys; no gradient flows
+    to it.  Forward and backward each run in place on one fresh array, in
+    the operation order of the plain expressions, so results are bit for
+    bit those of ``softmax(x + bias)``.
+    """
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=axis, keepdims=True)
+    if bias is None:
+        probs = x.data.copy()
+    else:
+        bias = np.asarray(bias)
+        if np.broadcast_shapes(x.shape, bias.shape) != x.shape:
+            raise ShapeError(f"softmax bias of shape {bias.shape} does not fit {x.shape}")
+        probs = x.data + bias
+    # probs = exp(shifted) / sum(exp(shifted)), shifted = x - max(x)
+    probs -= probs.max(axis=axis, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=axis, keepdims=True)
 
     def vjp(grad):
-        dot = (grad * probs).sum(axis=axis, keepdims=True)
-        return ((grad - dot) * probs,)
+        # (grad - sum(grad * probs)) * probs
+        local = np.multiply(grad, probs)
+        dot = local.sum(axis=axis, keepdims=True)
+        np.subtract(grad, dot, out=local)
+        local *= probs
+        return (local,)
 
     return _make(probs, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5,
+               *, residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    With ``residual``, normalizes ``x + residual`` as one node, and both
+    inputs receive the same gradient array.  All inputs share one dtype.
+    Forward and backward run on a few reused arrays in the operation order
+    of the plain expressions written out below, so results are bit for bit
+    those of ``layer_norm(x + residual, gain, bias)``.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     width = x.shape[-1]
     if gain.shape != (width,) or bias.shape != (width,):
@@ -456,30 +513,53 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
             f"layer_norm gain/bias must have shape ({width},), "
             f"got {gain.shape} and {bias.shape}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    parents = (x, gain, bias)
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != x.shape:
+            raise ShapeError(f"layer_norm residual shape {residual.shape} differs from {x.shape}")
+        parents = (x, gain, bias, residual)
+    dtypes = {t.dtype for t in parents}
+    if len(dtypes) > 1:
+        raise TypeError(f"layer_norm inputs must share one dtype, got {sorted(map(str, dtypes))}")
+    summed = x.data if residual is None else x.data + residual.data
+    # centered = summed - mean, written over the sum when this node owns it
+    mean = summed.mean(axis=-1, keepdims=True)
+    normalized = np.subtract(summed, mean, out=None if residual is None else summed)
+    data = np.multiply(normalized, normalized)
+    var = data.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    normalized = centered * inv_std
-    data = normalized * gain.data + bias.data
+    # normalized = centered * inv_std; data = normalized * gain + bias
+    normalized *= inv_std
+    np.multiply(normalized, gain.data, out=data)
+    data += bias.data
 
     def vjp(grad):
         gx = gg = gb = None
         lead = tuple(range(grad.ndim - 1))
+        local = np.multiply(grad, normalized)
         if gain.requires_grad:
-            gg = (grad * normalized).sum(axis=lead)
+            gg = local.sum(axis=lead)
         if bias.requires_grad:
             gb = grad.sum(axis=lead)
-        if x.requires_grad:
+        if x.requires_grad or (residual is not None and residual.requires_grad):
+            # gx = inv_std * (d_norm - mean(d_norm)
+            #                 - normalized * mean(d_norm * normalized)),
+            # d_norm = grad * gain
             d_norm = grad * gain.data
-            gx = inv_std * (
-                d_norm
-                - d_norm.mean(axis=-1, keepdims=True)
-                - normalized * (d_norm * normalized).mean(axis=-1, keepdims=True)
-            )
-        return gx, gg, gb
+            d_mean = d_norm.mean(axis=-1, keepdims=True)
+            np.multiply(d_norm, normalized, out=local)
+            dot_mean = local.mean(axis=-1, keepdims=True)
+            d_norm -= d_mean
+            np.multiply(normalized, dot_mean, out=local)
+            d_norm -= local
+            d_norm *= inv_std
+            gx = d_norm
+        if residual is None:
+            return gx, gg, gb
+        return (gx if x.requires_grad else None), gg, gb, (gx if residual.requires_grad else None)
 
-    return _make(data, (x, gain, bias), vjp)
+    return _make(data, parents, vjp)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

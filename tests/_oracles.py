@@ -105,6 +105,73 @@ def reference_gelu_grad(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
 
+
+def reference_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax as the plain max-subtracted numpy formula."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def reference_softmax_grad(probs: np.ndarray, grad: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Vector-Jacobian product of softmax as the plain numpy formula."""
+    dot = (grad * probs).sum(axis=axis, keepdims=True)
+    return (grad - dot) * probs
+
+
+def reference_layer_norm(x, gain, bias, grad, epsilon: float = 1e-5):
+    """Layer norm over the last axis and its three input gradients, as the
+    plain out-of-place numpy formulas; returns (value, gx, g_gain, g_bias)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    normalized = centered * inv_std
+    value = normalized * gain + bias
+    lead = tuple(range(grad.ndim - 1))
+    d_norm = grad * gain
+    gx = inv_std * (
+        d_norm
+        - d_norm.mean(axis=-1, keepdims=True)
+        - normalized * (d_norm * normalized).mean(axis=-1, keepdims=True)
+    )
+    return value, gx, (grad * normalized).sum(axis=lead), grad.sum(axis=lead)
+
+
+def out_of_place_backward(loss) -> dict[int, np.ndarray]:
+    """Gradients of a scalar tensor ``loss`` w.r.t. every leaf that
+    requires one, keyed by ``id(leaf)``.
+
+    Walks the graph in the same order as ``Tensor.backward`` but sums each
+    further contribution into a new array, so no array is ever written to;
+    leaves' ``grad`` fields are left alone.
+    """
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, emitted = stack.pop()
+        if emitted:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    grads = {id(loss): np.ones_like(loss.data)}
+    leaves = {}
+    for node in reversed(topo):
+        grad = grads.pop(id(node), None)
+        if grad is None:
+            continue
+        if node._vjp is None:
+            leaves[id(node)] = grad
+            continue
+        for parent, contribution in zip(node._parents, node._vjp(grad)):
+            if contribution is not None and parent.requires_grad:
+                key = id(parent)
+                grads[key] = contribution if key not in grads else grads[key] + contribution
+    return leaves
+
+
 CJK_RANGES = (
     (0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0x20000, 0x2A6DF), (0x2A700, 0x2B73F),
     (0x2B740, 0x2B81F), (0x2B820, 0x2CEAF), (0xF900, 0xFAFF), (0x2F800, 0x2FA1F),

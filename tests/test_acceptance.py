@@ -144,6 +144,13 @@ def _op_checks(rng):
     x_sum = leaf(3, 5)
     w_sum = w(5)
     x_mean = leaf(4, 6)
+    x_lin, w_lin, b_lin = leaf(2, 3, 4), leaf(4, 3), leaf(3)
+    w_lin_out = w(2, 3, 3)
+    x_res, r_res, g_res, b_res = leaf(3, 8), leaf(3, 8), leaf(8), leaf(8)
+    w_res = w(3, 8)
+    x_masked = leaf(2, 3, 6)
+    pad_bias = np.where(rng.random((2, 1, 6)) < 0.3, -1e9, 0.0)
+    w_masked = w(2, 3, 6)
 
     return [
         ("matmul", [a, b], lambda: ((a @ b) * wm).sum()),
@@ -162,6 +169,12 @@ def _op_checks(rng):
         ("reshape", [x_tr], lambda: (x_tr.reshape(6, 4) * w_flat).sum()),
         ("sum", [x_sum], lambda: (x_sum.sum(axis=0) * w_sum).sum()),
         ("mean", [x_mean], lambda: x_mean.mean()),
+        ("matmul-bias", [x_lin, w_lin, b_lin],
+         lambda: (T.matmul(x_lin, w_lin, b_lin) * w_lin_out).sum()),
+        ("layer_norm-residual", [x_res, r_res, g_res, b_res],
+         lambda: (T.layer_norm(x_res, g_res, b_res, residual=r_res) * w_res).sum()),
+        ("softmax-bias", [x_masked],
+         lambda: (T.softmax(x_masked, axis=-1, bias=pad_bias) * w_masked).sum()),
     ]
 
 

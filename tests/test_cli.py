@@ -280,6 +280,28 @@ class TestConfigRejectedBeforeAnyWork:
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, repr(variant), key, repr(value))
 
+    @pytest.mark.parametrize("name", [[1], "", ".", "..", "../x", "a/b", "a\\b", 7])
+    def test_bad_variant_name(self, tmp_path, capsys, name):
+        """Only a plain directory name is accepted, also after a good variant."""
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["variants"][1]["name"] = name
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, "variants[1]", "name", repr(name))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "hidden_dim", "64"), ("model", "init_scale", "0.02"),
+         ("train", "epochs", "3"), ("train", "batch_size", True),
+         ("train", "learning_rate", None)],
+    )
+    def test_non_number_value(self, tmp_path, capsys, section, key, value):
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw[section][key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, f"{section}: {key}", repr(value))
+
     @pytest.mark.parametrize(
         "key, value",
         [("n_members", 3), ("member_shuffle_seeds", [1, 2, 3]), ("shared_init", True),

@@ -13,6 +13,7 @@ import minibert.model as model_module
 from minibert import tensor as T
 from minibert.errors import ConfigError
 from minibert.model import (
+    ATTENTION_MASK_BIAS,
     MaskedBatch,
     MaskingPolicy,
     ModelConfig,
@@ -172,23 +173,52 @@ def scalar_encoder_layer(x, mask, params, num_heads, prefix="layer0."):
     return [scalar_layer_norm(row, p("ln2_g"), p("ln2_b")) for row in summed2]
 
 
+def attention_scores(model, x, layer_index=0):
+    """The layer's scaled query-key scores (B, heads, S, S), before the mask."""
+    p = {name: t.data for name, t in model.params.items()}
+    pre = f"layer{layer_index}."
+    batch, seq, _ = x.shape
+    nh, hd = model.config.num_heads, model.config.head_dim
+
+    def heads(name):
+        rows = x.data @ p[pre + name + "_w"] + p[pre + name + "_b"]
+        return rows.reshape(batch, seq, nh, hd).transpose(0, 2, 1, 3)
+
+    return heads("q") @ heads("k").swapaxes(-1, -2) / np.float32(math.sqrt(hd))
+
+
+def mask_bias(mask):
+    mask = np.asarray(mask, dtype=np.float32)
+    return ((1.0 - mask) * ATTENTION_MASK_BIAS).reshape(len(mask), 1, 1, -1)
+
+
+def at_both_magnitudes(scores):
+    """The fresh model's scores, then the same widened to the +-30 range of
+    a trained model's; the mask property must hold at both."""
+    return scores, scores * np.float32(30.0 / np.abs(scores).max())
+
+
 class TestEncoderLayer:
     def test_single_position_attention_weight_is_exactly_one(self):
         model = init_model(dataclasses.replace(TINY, max_seq_len=1))
         x = model.embed(np.array([[2]]), np.array([[0]]))
-        _, weights = model.encoder_layer(x, np.array([[1]]), 0, return_attention=True)
-        assert weights.shape == (1, 2, 1, 1)
-        assert np.all(weights == 1.0)
+        for scores in at_both_magnitudes(attention_scores(model, x)):
+            weights = T.softmax(T.Tensor(scores), axis=-1, bias=mask_bias([[1]])).data
+            assert weights.shape == (1, 2, 1, 1)
+            assert np.all(weights == 1.0)
 
     def test_pad_keys_get_negligible_weight(self, vocab):
         model = init_model(TINY)
         examples = batch_for(["alpha beta", "gamma"], vocab)
         ids, segs, mask = stack_examples(examples)
-        x = model.embed(ids, segs)
-        _, weights = model.encoder_layer(x, mask, 0, return_attention=True)
-        pad_keys = mask == 0  # (B, S)
-        assert weights[pad_keys[:, None, None, :] & np.ones(weights.shape, bool)].max() < 1e-6
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+        pad_keys = mask[:, None, None, :] == 0
+        assert pad_keys.any()
+        for scores in at_both_magnitudes(attention_scores(model, model.embed(ids, segs))):
+            assert scores.dtype == np.float32
+            weights = T.softmax(T.Tensor(scores), axis=-1, bias=mask_bias(mask)).data
+            # exactly zero in float32, which is what makes trim_padding exact
+            assert np.all(weights[np.broadcast_to(pad_keys, weights.shape)] == 0.0)
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_matches_scalar_recomputation(self, vocab):
         model = init_model(TINY)

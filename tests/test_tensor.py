@@ -1,6 +1,7 @@
 """Tensor-core tests: hand-checked values, scalar oracles, and central
 finite-difference gradient checks (float64, step 1e-4, rtol 1e-3)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,12 @@ from minibert import tensor as T
 from _oracles import (
     assert_grads_close,
     numeric_gradient,
+    out_of_place_backward,
     reference_gelu,
     reference_gelu_grad,
+    reference_layer_norm,
+    reference_softmax,
+    reference_softmax_grad,
     scalar_gelu,
     scalar_layer_norm,
     scalar_softmax,
@@ -134,6 +139,20 @@ class TestSoftmax:
         assert_grads_close(x.grad, numeric_gradient(loss, x.data))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_plain_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(21)
+        x = (5.0 * rng.standard_normal((3, 2, 7, 7))).astype(dtype)
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        leaf_x = T.Tensor(x, requires_grad=True)
+        out = T.softmax(leaf_x, axis=-1)
+        (out * T.Tensor(upstream)).sum().backward()
+        expected = reference_softmax(x)
+        for got, want in ((out.data, expected), (leaf_x.grad, reference_softmax_grad(expected, upstream))):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         out = T.layer_norm(
@@ -186,6 +205,34 @@ class TestLayerNorm:
         assert_grads_close(x.grad, numeric_gradient(loss, x.data))
         assert_grads_close(gain.grad, numeric_gradient(loss, gain.data))
         assert_grads_close(bias.grad, numeric_gradient(loss, bias.data))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_plain_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(22)
+        x = (3.0 * rng.standard_normal((4, 5, 16)) + 1.0).astype(dtype)
+        gain, bias = (rng.standard_normal((2, 16)) + 1.0).astype(dtype)
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        leaves = [T.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = T.layer_norm(*leaves)
+        (out * T.Tensor(upstream)).sum().backward()
+        value, gx, g_gain, g_bias = reference_layer_norm(x, gain, bias, upstream)
+        for got, want in zip([out.data] + [t.grad for t in leaves], (value, gx, g_gain, g_bias)):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(TypeError, match="one dtype"):
+            T.layer_norm(
+                T.Tensor(np.zeros((2, 4), dtype=np.float32)),
+                T.Tensor(np.ones(4)),
+                T.Tensor(np.zeros(4)),
+            )
+
+    def test_residual_shape_error(self):
+        with pytest.raises(T.ShapeError, match="residual"):
+            T.layer_norm(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(4)),
+                         T.Tensor(np.zeros(4)), residual=T.Tensor(np.zeros((1, 4))))
 
 
 class TestGelu:
@@ -291,6 +338,31 @@ class TestBackward:
         np.testing.assert_array_equal(p.grad, [4.0])
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_consumers_match_out_of_place_accumulation(self, dtype):
+        # x has five uses, so its third and later contributions are summed in
+        # place.  ``add`` and the residual ``layer_norm`` hand one array to two
+        # parents and ``reshape`` passes views on: here z, a * 3 and a share
+        # one buffer while z waits to be propagated, so an in-place sum into
+        # any buffer the graph walk did not allocate itself changes z's and
+        # then x's gradient.
+        rng = np.random.default_rng(31)
+
+        def leaf_of(*shape):
+            return T.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+        x, w, g, c = leaf_of(3, 4), leaf_of(4, 4), leaf_of(4), leaf_of(4)
+        a, z = x * 2.0, x * 5.0
+        b = T.layer_norm(a * 3.0, g, c, residual=z)
+        y = T.layer_norm(x, g, c, residual=x + x)
+        n = (a + b) + y.reshape(12).reshape(3, 4)
+        loss = (T.matmul(n, w, c) * T.Tensor(rng.standard_normal((3, 4)).astype(dtype))).sum()
+        expected = out_of_place_backward(loss)
+        loss.backward()
+        for param in (x, w, g, c):
+            assert param.grad.dtype == dtype
+            assert np.array_equal(param.grad, expected[id(param)])
+
 def builds_graph(t: T.Tensor) -> bool:
     return t.requires_grad or bool(t._parents) or t._vjp is not None
 
@@ -301,6 +373,8 @@ class TestNoGrad:
         return [
             x @ w, x + b, x * 2.0, x[0], x.reshape(12), x.transpose(), x.sum(), x.mean(),
             T.tanh(x), T.gelu(x), T.softmax(x), h, T.cross_entropy(h, [0, 1, 2]),
+            T.matmul(x, w, b), T.layer_norm(x, g, b, residual=x @ w),
+            T.softmax(x, bias=np.array([0.0, -1e9, 0.0, 0.0])),
         ]
 
     def test_ops_record_nothing_and_compute_the_same_values(self):
@@ -431,3 +505,84 @@ class TestMiscOps:
         out = T.softmax(scores, axis=-1)
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-6)
+
+
+def all_flag_combinations(count):
+    return list(itertools.product([False, True], repeat=count))
+
+
+class TestFusedOps:
+    """Each fused op against its unfused composition: the forward and every
+    input gradient bit for bit, whichever inputs require a gradient."""
+
+    @staticmethod
+    def run(build, arrays, flags, upstream):
+        leaves = [T.Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, flags)]
+        out = build(*leaves)
+        if out.requires_grad:
+            (out * T.Tensor(upstream)).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    def assert_same(self, fused, unfused, arrays, flags):
+        rng = np.random.default_rng(41)
+        dtype = arrays[0].dtype
+        shape = unfused(*[T.Tensor(a) for a in arrays]).shape
+        upstream = rng.standard_normal(shape).astype(dtype)
+        got_out, got_grads = self.run(fused, arrays, flags, upstream)
+        want_out, want_grads = self.run(unfused, arrays, flags, upstream)
+        assert got_out.dtype == want_out.dtype == dtype
+        assert np.array_equal(got_out, want_out)
+        for flag, got, want in zip(flags, got_grads, want_grads):
+            if not flag:
+                assert got is None and want is None
+                continue
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("flags", all_flag_combinations(3))
+    @pytest.mark.parametrize("rows", [(3, 4), (2, 3, 4)])
+    def test_matmul_bias(self, dtype, flags, rows):
+        rng = np.random.default_rng(42)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in (rows, (4, 5), (5,))]
+        self.assert_same(
+            lambda a, w, bias: T.matmul(a, w, bias),
+            lambda a, w, bias: a @ w + bias,
+            arrays, flags,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("flags", all_flag_combinations(4))
+    def test_layer_norm_residual(self, dtype, flags):
+        rng = np.random.default_rng(43)
+        shapes = ((2, 3, 8), (2, 3, 8), (8,), (8,))
+        arrays = [(2.0 * rng.standard_normal(s) + 0.5).astype(dtype) for s in shapes]
+        self.assert_same(
+            lambda x, r, g, b: T.layer_norm(x, g, b, residual=r),
+            lambda x, r, g, b: T.layer_norm(x + r, g, b),
+            arrays, flags,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("flags", all_flag_combinations(1))
+    @pytest.mark.parametrize("bias_kind", ["pad-mask", "dense"])
+    def test_softmax_bias(self, dtype, flags, bias_kind):
+        rng = np.random.default_rng(44)
+        scores = (3.0 * rng.standard_normal((2, 2, 5, 5))).astype(dtype)
+        if bias_kind == "pad-mask":
+            mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=dtype)
+            bias = ((1.0 - mask) * -1e9).reshape(2, 1, 1, 5)
+        else:
+            bias = rng.standard_normal((5, 5)).astype(dtype)
+        self.assert_same(
+            lambda x: T.softmax(x, axis=-1, bias=bias),
+            lambda x: T.softmax(x + T.Tensor(bias), axis=-1),
+            [scores], flags,
+        )
+
+    def test_bias_shape_errors(self):
+        x = T.Tensor(np.zeros((2, 3)))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.matmul(x, T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros(3)))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.softmax(x, bias=np.zeros((4, 2, 3)))
