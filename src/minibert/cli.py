@@ -20,12 +20,8 @@ from .checkpoint import load_checkpoint
 from .corpus import load_csv, save_csv, generate_synthetic
 from .ensemble import evaluate
 from .errors import CheckpointError, ConfigError, CorpusError
-from .evaluation import ConfusionMatrix, accuracy_per_minute, metrics, round_half_up
-from .experiment import (
-    load_experiment_config,
-    parse_synthetic_spec,
-    run_experiment,
-)
+from .evaluation import METRIC_NAMES, ConfusionMatrix, accuracy_per_minute, metrics, round_half_up
+from .experiment import load_experiment_config, parse_synthetic_spec, read_json, run_experiment
 from .tokenizer import encode
 
 EXIT_OK = 0
@@ -144,9 +140,7 @@ def _cmd_eval(args) -> int:
 
     print(f"checkpoint: {checkpoint}")
     print(f"corpus:     {args.corpus} ({len(corpus)} examples)")
-    for name in ("accuracy", "precision", "recall", "f1"):
-        flag = " (undefined)" if name in report.undefined else ""
-        print(f"  {name:<9} {round_half_up(report.value(name), 4):.4f}{flag}")
+    _print_metrics(report, indent="  ")
     print(f"  confusion {report.confusion.counts.tolist()}")
     if "member_accuracies" in payload:
         joined = ", ".join(f"{a:.4f}" for a in payload["member_accuracies"])
@@ -164,9 +158,7 @@ def _cmd_metrics(args) -> int:
         print("error: confusion counts must not all be zero", file=sys.stderr)
         return EXIT_USAGE
     report = metrics(ConfusionMatrix.from_binary(*counts))
-    for name in ("accuracy", "precision", "recall", "f1"):
-        flag = " (undefined)" if name in report.undefined else ""
-        print(f"{name:<9} {round_half_up(report.value(name), 4):.4f}{flag}")
+    _print_metrics(report)
     if args.minutes is not None:
         if args.minutes <= 0:
             print("error: --minutes must be positive", file=sys.stderr)
@@ -176,15 +168,14 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _print_metrics(report, indent: str = "") -> None:
+    for name in METRIC_NAMES:
+        flag = " (undefined)" if name in report.undefined else ""
+        print(f"{indent}{name:<9} {round_half_up(report.value(name), 4):.4f}{flag}")
+
+
 def _cmd_gen_synthetic(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError(f"spec file not found: {spec_path}")
-    try:
-        raw = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{spec_path}:{err.lineno}: invalid JSON ({err.msg})")
-    spec = parse_synthetic_spec(raw, str(spec_path))
+    spec = parse_synthetic_spec(read_json(args.spec), args.spec)
     corpus = generate_synthetic(spec)
     save_csv(corpus, args.out)
     print(f"wrote {len(corpus)} examples across {corpus.num_classes} classes to {args.out}")

@@ -10,12 +10,12 @@ perfectly separable by a bag-of-words rule.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError
+from .errors import ConfigError, CorpusError, check_types
 
 
 @dataclass
@@ -107,12 +107,14 @@ class SyntheticSpec:
 
     num_examples: int
     class_token_pools: list[list[str]]
-    shared_pool: list[str]
+    shared_pool: list[str] = field(default_factory=list)
     tokens_per_text: tuple[int, int] = (5, 12)
     noise_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        check_types(type(self), vars(self))
+        self.tokens_per_text = tuple(self.tokens_per_text)
         if self.num_examples < len(self.class_token_pools):
             raise ConfigError(
                 f"need at least one example per class, got {self.num_examples} "
@@ -153,6 +155,7 @@ class SyntheticSpec:
         seed: int = 0,
     ) -> "SyntheticSpec":
         """Build a spec with auto-named token pools (classNtokM / sharedM)."""
+        check_types(cls.balanced, locals())
         pools = [
             [f"class{c}tok{i}" for i in range(class_pool_size)] for c in range(num_classes)
         ]

@@ -21,7 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, check_types
 from .evaluation import MetricsReport, confusion_matrix, metrics
 from .model import ClassifierModel, ModelConfig, example_labels, init_model
 from .tokenizer import EncodedExample
@@ -43,17 +43,14 @@ class EnsembleConfig:
     voting: str = MAJORITY
 
     def __post_init__(self):
-        if type(self.n_members) is not int or self.n_members < 1:
-            raise ConfigError(f"n_members must be an integer >= 1, got {self.n_members!r}")
+        check_types(type(self), vars(self))
+        if self.n_members < 1:
+            raise ConfigError(f"n_members must be >= 1, got {self.n_members}")
         seeds = self.member_shuffle_seeds
-        if not isinstance(seeds, list) or any(type(seed) is not int for seed in seeds):
-            raise ConfigError(f"member_shuffle_seeds must be a list of integers, got {seeds!r}")
         if len(seeds) != self.n_members:
             raise ConfigError(
                 f"need exactly {self.n_members} member_shuffle_seeds, got {len(seeds)}"
             )
-        if not isinstance(self.shared_init, bool):
-            raise ConfigError(f"shared_init must be true or false, got {self.shared_init!r}")
         if self.voting not in VOTING_RULES:
             raise ConfigError(f"voting must be one of {VOTING_RULES}, got {self.voting!r}")
 

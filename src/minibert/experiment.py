@@ -10,20 +10,63 @@ The vocabulary is always built from the training split only.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TextIO
 
 from .checkpoint import save_checkpoint
 from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, check_types
 from .evaluation import ComparisonReport, TimingRecord, compare_report
 from .model import ModelConfig, init_model
-from .tokenizer import MIN_SEQ_LEN, Vocabulary, build_vocab, encode
+from .tokenizer import MIN_SEQ_LEN, NUM_SPECIAL_TOKENS, Vocabulary, build_vocab, encode
 from .training import TrainConfig, TrainRun, split_dataset, train
+
+
+# required in a config, though the dataclasses default them for library use
+_SEED_KEYS = ("seed", "init_seed", "shuffle_seed", "split_seed", "member_shuffle_seeds")
+
+
+def read_section(build, section, where: str, **derived):
+    """Call ``build`` (a config dataclass, or ``SyntheticSpec.balanced``) with
+    the JSON object ``section``.  Its parameters, less the ``derived`` ones
+    the caller gives, are the allowed keys; those without a default, and the
+    seeds, are required.  Each ConfigError is prefixed with ``where``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {section!r}")
+    params = inspect.signature(build).parameters
+    allowed = sorted(set(params) - set(derived))
+    unknown = {key: section[key] for key in sorted(set(section) - set(allowed))}
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {allowed}")
+    for name in allowed:
+        required = name in _SEED_KEYS or params[name].default is params[name].empty
+        if required and name not in section:
+            raise ConfigError(f"{where}: missing required key {name!r}")
+    try:
+        return build(**section, **derived)
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+@dataclass
+class TokenizerConfig:
+    """The ``tokenizer`` section."""
+
+    max_vocab: int
+    max_seq_len: int
+    min_frequency: int = 1
+
+    def __post_init__(self):
+        check_types(type(self), vars(self))
+        # room for the special tokens; for [CLS], one token and [SEP]
+        for name, least in (("max_vocab", NUM_SPECIAL_TOKENS), ("max_seq_len", MIN_SEQ_LEN)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -37,6 +80,11 @@ class VariantSpec:
     ensemble: EnsembleConfig | None = None
     gated: bool = False
 
+    def __post_init__(self):
+        check_types(type(self), vars(self))
+        if self.num_layers < 1:
+            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
+
     @property
     def kind(self) -> str:
         return "single" if self.ensemble is None else "ensemble"
@@ -46,110 +94,70 @@ class VariantSpec:
 class ExperimentConfig:
     corpus_path: str | None
     synthetic: SyntheticSpec | None
-    max_vocab: int
-    min_frequency: int
-    max_seq_len: int
+    tokenizer: TokenizerConfig
     model: ModelConfig
     train: TrainConfig
     variants: list[VariantSpec]
     output_dir: str = "runs"
 
 
-_TOP_LEVEL_KEYS = ("corpus", "tokenizer", "model", "train", "variants", "output_dir")
-_CORPUS_KEYS = ("path", "synthetic")
-_TOKENIZER_KEYS = ("max_vocab", "min_frequency", "max_seq_len")
-_VARIANT_KEYS = ("name", "kind", "num_layers", "gated")
-_ENSEMBLE_KEYS = ("n_members", "member_shuffle_seeds", "shared_init", "voting")
-_SYNTHETIC_KEYS = ("num_examples", "seed", "tokens_per_text", "noise_rate")
-_EXPLICIT_POOL_KEYS = _SYNTHETIC_KEYS + ("class_token_pools", "shared_pool")
-_BALANCED_POOL_KEYS = _SYNTHETIC_KEYS + ("num_classes", "class_pool_size", "shared_pool_size")
+@dataclass
+class _Sections:
+    """The top level of a config file, each section still raw JSON."""
+
+    corpus: dict
+    tokenizer: dict
+    model: dict
+    train: dict
+    variants: list
+    output_dir: str = "runs"
+
+    def __post_init__(self):
+        check_types(type(self), vars(self))
+        if not self.variants:
+            raise ConfigError("variants: at least one variant is required")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return section[key]
+@dataclass
+class _CorpusSection:
+    path: str | None = None
+    synthetic: dict | None = None
+
+    def __post_init__(self):
+        check_types(type(self), vars(self))
+        if (self.path is None) == (self.synthetic is None):
+            raise ConfigError("exactly one of 'path' or 'synthetic' is required")
 
 
-def _reject_unknown_keys(section, allowed: tuple[str, ...], where: str) -> None:
-    """A misspelt key would otherwise fall back to its default silently."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
-def parse_experiment_config(raw: dict) -> ExperimentConfig:
+def parse_experiment_config(raw) -> ExperimentConfig:
     """Validate a parsed JSON config; seeds must be explicit."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "config")
-
-    corpus_section = _require(raw, "corpus", "config")
-    _reject_unknown_keys(corpus_section, _CORPUS_KEYS, "corpus")
-    corpus_path = corpus_section.get("path")
+    sections = read_section(_Sections, raw, "config")
+    corpus = read_section(_CorpusSection, sections.corpus, "corpus")
     synthetic = None
-    if "synthetic" in corpus_section:
-        synthetic = parse_synthetic_spec(corpus_section["synthetic"], "corpus.synthetic")
-    if (corpus_path is None) == (synthetic is None):
-        raise ConfigError("corpus: exactly one of 'path' or 'synthetic' is required")
-
-    tok = _require(raw, "tokenizer", "config")
-    _reject_unknown_keys(tok, _TOKENIZER_KEYS, "tokenizer")
-    max_vocab = _require(tok, "max_vocab", "tokenizer")
-    min_frequency = tok.get("min_frequency", 1)
-    max_seq_len = _require(tok, "max_seq_len", "tokenizer")
-    if not isinstance(max_seq_len, int) or max_seq_len < MIN_SEQ_LEN:
-        raise ConfigError(
-            f"tokenizer: max_seq_len must be an integer >= {MIN_SEQ_LEN} "
-            f"([CLS], one token, [SEP]), got {max_seq_len!r}"
-        )
-
-    model_section = dict(_require(raw, "model", "config"))
-    _require(model_section, "init_seed", "model")
-    model_section.setdefault("max_seq_len", max_seq_len)
-    model_section.setdefault("vocab_size", max_vocab)  # placeholder, rebuilt after vocab
-    try:
-        model = ModelConfig(**model_section)
-    except (TypeError, ConfigError) as err:
-        raise ConfigError(f"model: {err}") from None
-
-    train_section = dict(_require(raw, "train", "config"))
-    _require(train_section, "shuffle_seed", "train")
-    _require(train_section, "split_seed", "train")
-    try:
-        train_config = TrainConfig(**train_section)
-    except (TypeError, ConfigError) as err:
-        raise ConfigError(f"train: {err}") from None
-
-    variants_raw = _require(raw, "variants", "config")
-    if not variants_raw:
-        raise ConfigError("variants: at least one variant is required")
+    if corpus.synthetic is not None:
+        synthetic = parse_synthetic_spec(corpus.synthetic, "corpus.synthetic")
+    tokenizer = read_section(TokenizerConfig, sections.tokenizer, "tokenizer")
+    # vocab_size is a placeholder until the vocabulary is built
+    derived = {"vocab_size": tokenizer.max_vocab, "max_seq_len": tokenizer.max_seq_len}
+    model = read_section(ModelConfig, sections.model, "model", **derived)
+    train = read_section(TrainConfig, sections.train, "train")
     variants = []
-    for i, entry in enumerate(variants_raw):
+    for i, entry in enumerate(sections.variants):
         spec = parse_variant(entry, f"variants[{i}]", model)
         if spec.name in {v.name for v in variants}:
             raise ConfigError(f"variants[{i}]: duplicate variant name {spec.name!r}")
         variants.append(spec)
-
     return ExperimentConfig(
-        corpus_path=corpus_path,
-        synthetic=synthetic,
-        max_vocab=max_vocab,
-        min_frequency=min_frequency,
-        max_seq_len=max_seq_len,
-        model=model,
-        train=train_config,
-        variants=variants,
-        output_dir=raw.get("output_dir", "runs"),
+        corpus.path, synthetic, tokenizer, model, train, variants, sections.output_dir
     )
 
 
-def parse_variant(entry: dict, where: str, model: ModelConfig) -> VariantSpec:
-    """One ``variants`` entry; ensemble keys are accepted only by ensembles."""
-    _reject_unknown_keys(entry, _VARIANT_KEYS + _ENSEMBLE_KEYS, where)
-    name = _require(entry, "name", where)
+def parse_variant(entry, where: str, model: ModelConfig) -> VariantSpec:
+    """One ``variants`` entry: its ``kind``, the VariantSpec keys and, for
+    an ensemble, the EnsembleConfig keys, which a single variant rejects."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {entry!r}")
+    name = entry.get("name")
     # the name becomes a directory under checkpoints/
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(
@@ -157,67 +165,48 @@ def parse_variant(entry: dict, where: str, model: ModelConfig) -> VariantSpec:
             f"and not '.' or '..', got {name!r}"
         )
     where = f"{where} {name!r}"
-    kind = _require(entry, "kind", where)
+    kind = entry.get("kind")
     if kind not in ("single", "ensemble"):
         raise ConfigError(f"{where}: kind must be 'single' or 'ensemble', got {kind!r}")
-    num_layers = entry.get("num_layers", 1)
-    if type(num_layers) is not int or num_layers < 1:
-        raise ConfigError(f"{where}: num_layers must be an integer >= 1, got {num_layers!r}")
-    gated = entry.get("gated", False)
-    if not isinstance(gated, bool):
-        raise ConfigError(f"{where}: gated must be true or false, got {gated!r}")
-    ensemble_keys = {key: entry[key] for key in _ENSEMBLE_KEYS if key in entry}
-    if kind == "single":
-        if ensemble_keys:
-            raise ConfigError(f"{where}: {sorted(ensemble_keys)} apply only to kind 'ensemble'")
-        return VariantSpec(name=name, num_layers=num_layers, gated=gated)
-    if "member_shuffle_seeds" not in ensemble_keys:
-        raise ConfigError(f"{where}: ensembles must state member_shuffle_seeds explicitly")
-    try:
-        ensemble = EnsembleConfig(
-            member_model_config=replace(model, num_layers=num_layers), **ensemble_keys
+    own_keys = {spec.name for spec in fields(VariantSpec)}
+    own = {key: value for key, value in entry.items() if key in own_keys}
+    rest = {key: value for key, value in entry.items() if key not in own_keys | {"kind"}}
+    if kind == "single" and rest:
+        raise ConfigError(
+            f"{where}: unknown key(s) {rest} for kind 'single'; "
+            "the ensemble keys apply only to kind 'ensemble'"
         )
-    except ConfigError as err:
-        raise ConfigError(f"{where}: {err}") from None
-    return VariantSpec(name=name, num_layers=num_layers, ensemble=ensemble, gated=gated)
+    spec = read_section(VariantSpec, own, where, ensemble=None)
+    if kind == "ensemble":
+        member = replace(model, num_layers=spec.num_layers)
+        spec.ensemble = read_section(EnsembleConfig, rest, where, member_model_config=member)
+    return spec
 
 
-def parse_synthetic_spec(section: dict, where: str) -> SyntheticSpec:
+def parse_synthetic_spec(section, where: str) -> SyntheticSpec:
     """Explicit ``class_token_pools`` or generated pools; a key that the
     chosen form does not read is rejected, not ignored."""
     explicit = isinstance(section, dict) and "class_token_pools" in section
-    _reject_unknown_keys(section, _EXPLICIT_POOL_KEYS if explicit else _BALANCED_POOL_KEYS, where)
-    _require(section, "seed", where)
-    num_examples = _require(section, "num_examples", where)
-    if explicit:
-        return SyntheticSpec(
-            num_examples=num_examples,
-            class_token_pools=section["class_token_pools"],
-            shared_pool=section.get("shared_pool", []),
-            tokens_per_text=tuple(section.get("tokens_per_text", (5, 12))),
-            noise_rate=section.get("noise_rate", 0.0),
-            seed=section["seed"],
-        )
-    return SyntheticSpec.balanced(
-        num_examples=num_examples,
-        num_classes=section.get("num_classes", 2),
-        class_pool_size=section.get("class_pool_size", 30),
-        shared_pool_size=section.get("shared_pool_size", 20),
-        tokens_per_text=tuple(section.get("tokens_per_text", (5, 12))),
-        noise_rate=section.get("noise_rate", 0.0),
-        seed=section["seed"],
-    )
+    return read_section(SyntheticSpec if explicit else SyntheticSpec.balanced, section, where)
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file ``path``; an unreadable or non-UTF-8 file,
+    or invalid JSON, is a ConfigError naming the path (and ``line:col``)."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = f"not UTF-8, {err.reason}" if isinstance(err, UnicodeDecodeError) else err.strerror
+        raise ConfigError(f"{path}: cannot read ({reason})") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})") from None
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})")
-    return parse_experiment_config(raw)
+    return parse_experiment_config(read_json(path))
 
 
 @dataclass
@@ -279,15 +268,14 @@ def run_experiment(
     )
     vocab = build_vocab(
         [text for text, _ in train_records],
-        max_size=config.max_vocab,
-        min_frequency=config.min_frequency,
+        max_size=config.tokenizer.max_vocab,
+        min_frequency=config.tokenizer.min_frequency,
     )
-    model_config = replace(config.model, vocab_size=len(vocab), max_seq_len=config.max_seq_len)
+    model_config = replace(config.model, vocab_size=len(vocab))
 
-    train_set = [
-        encode(text, vocab, config.max_seq_len, label) for text, label in train_records
-    ]
-    val_set = [encode(text, vocab, config.max_seq_len, label) for text, label in val_records]
+    seq_len = config.tokenizer.max_seq_len
+    train_set = [encode(text, vocab, seq_len, label) for text, label in train_records]
+    val_set = [encode(text, vocab, seq_len, label) for text, label in val_records]
 
     run_dir = _fresh_run_dir(Path(config.output_dir))
     _write_split_csv(train_records, run_dir / "train.csv")

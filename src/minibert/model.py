@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, check_number_fields
+from .errors import ConfigError, check_types
 from .tokenizer import (
     MASK_ID,
     NUM_SPECIAL_TOKENS,
@@ -41,7 +41,7 @@ class ModelConfig:
     init_scale: float = 0.02
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_types(type(self), vars(self))
         counts = {
             "vocab_size": self.vocab_size,
             "hidden_dim": self.hidden_dim,
@@ -232,20 +232,19 @@ class ClassifierModel:
     def predict(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
         """Predicted class indices, argmax of the logits; builds no graph."""
         out = np.empty(len(examples), dtype=np.int64)
-        with T.no_grad():
-            for start in range(0, len(examples), batch_size):
-                chunk = examples[start : start + batch_size]
-                out[start : start + len(chunk)] = np.argmax(self.logits(chunk).data, axis=1)
-        return out
+        return self._fill(out, examples, batch_size, lambda logits: np.argmax(logits.data, axis=1))
 
     def predict_proba(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
         """Per-class probabilities, softmax of the logits, shape (N, C);
         builds no graph."""
         out = np.empty((len(examples), self.config.num_classes), dtype=np.float64)
+        return self._fill(out, examples, batch_size, lambda logits: T.softmax(logits, axis=-1).data)
+
+    def _fill(self, out: np.ndarray, examples, batch_size: int, head) -> np.ndarray:
         with T.no_grad():
             for start in range(0, len(examples), batch_size):
                 chunk = examples[start : start + batch_size]
-                out[start : start + len(chunk)] = T.softmax(self.logits(chunk), axis=-1).data
+                out[start : start + len(chunk)] = head(self.logits(chunk))
         return out
 
 

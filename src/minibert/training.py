@@ -15,7 +15,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, TrainingError, check_number_fields
+from .errors import ConfigError, TrainingError, check_types
 from .model import ClassifierModel, example_labels, stack_examples, trim_padding
 from .tokenizer import EncodedExample
 
@@ -35,7 +35,7 @@ class TrainConfig:
     split_seed: int = 0
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_types(type(self), vars(self))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -1,11 +1,15 @@
 """CLI and pipeline tests: experiment runs from a JSON config, gated
-variants, configs rejected before any work, byte-identical metrics across
+variants, configs rejected before any work (also any value fuzzed to
+another JSON type), byte-identical metrics across
 reruns, vocabulary built from the training split only, checkpoint
 evaluation self-consistency and its one forward pass per member, and the
 metrics calculator."""
 
+import dataclasses
 import json
 import shutil
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -357,6 +361,38 @@ class TestConfigRejectedBeforeAnyWork:
         with pytest.raises(ConfigError, match="'class_pool_size'"):
             parse_synthetic_spec(raw, "spec")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("tokenizer", "max_vocab", 3),
+            ("tokenizer", "max_vocab", "100"),
+            ("tokenizer", "min_frequency", "2"),
+            ("model", "max_seq_len", 16),
+            ("model", "vocab_size", 7),
+            ("corpus.synthetic", "noise_rate", "0.1"),
+            ("corpus.synthetic", "num_examples", "200"),
+            ("corpus.synthetic", "seed", "x"),
+            ("corpus.synthetic", "tokens_per_text", 5),
+            ("train", "learning_rate", float("nan")),
+        ],
+    )
+    def test_bad_section_value(self, tmp_path, capsys, section, key, value):
+        """``model`` also rejects vocab_size and max_seq_len, which are derived
+        from the vocabulary and the tokenizer section."""
+        raw = tiny_config_dict(tmp_path / "runs")
+        nested_section(raw, section)[key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, f"{section}: ", key, repr(value))
+
+    @pytest.mark.parametrize("key, value", [("output_dir", 5), ("variants", 5), ("model", [])])
+    def test_bad_top_level_value(self, tmp_path, capsys, key, value):
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw[key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, "config: ", key, repr(value))
+
     def test_shipped_and_benchmark_configs_are_accepted(self, tmp_path, monkeypatch):
         repo = Path(__file__).resolve().parents[1]
         load_experiment_config(repo / "configs" / "experiment.json")
@@ -385,6 +421,111 @@ class TestConfigRejectedBeforeAnyWork:
         with pytest.raises(ConfigError, match=rf"variants\[{index}\]") as err:
             parse_experiment_config(raw)
         assert repr(key) in str(err.value)
+
+
+# One strategy per JSON type; a fuzzed value always has another type than
+# the value it replaces.
+JSON_TYPES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=5),
+    list: st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=3)), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def json_paths(node, path=()):
+    """The path of every value below ``node``, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, path + (key,))
+
+
+def replace_somewhere(data, raw):
+    """Replace one value of ``raw`` with a value of another JSON type;
+    return its path."""
+    path = data.draw(st.sampled_from(list(json_paths(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = type(parent[path[-1]])
+    others = [strategy for other, strategy in JSON_TYPES.items() if other is not kind]
+    parent[path[-1]] = data.draw(st.one_of(others))
+    return path
+
+
+def assert_declared_types(config) -> None:
+    """Every int, float, bool and str field of ``config``, and of the config
+    dataclasses inside it, holds its declared type; an int is a valid float."""
+    scalar = {
+        int: lambda v: type(v) is int,
+        float: lambda v: type(v) in (int, float),
+        bool: lambda v: type(v) is bool,
+        str: lambda v: type(v) is str,
+    }
+    hints = typing.get_type_hints(type(config))
+    for spec in dataclasses.fields(config):
+        value, hint = getattr(config, spec.name), hints[spec.name]
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        options = typing.get_args(hint) if union else (hint,)
+        checks = [scalar[kind] for kind in options if kind in scalar]
+        if value is not None and checks:
+            assert any(check(value) for check in checks), (spec.name, value)
+        for item in value if isinstance(value, list) else [value]:
+            if dataclasses.is_dataclass(item):
+                assert_declared_types(item)
+
+
+class TestFuzzedConfig:
+    """Any value of the wrong JSON type, anywhere in a config, is either
+    accepted with its declared type or rejected by a ConfigError naming the
+    section (or variant) and the key; never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_experiment_config(self, data):
+        raw = tiny_config_dict(Path("unused"))
+        path = replace_somewhere(data, raw)
+        try:
+            config = parse_experiment_config(raw)
+        except ConfigError as err:
+            message = str(err)
+            if path[0] == "variants" and len(path) > 1:
+                assert message.startswith(f"variants[{path[1]}]"), (path, message)
+                assert len(path) == 2 or path[2] in message, (path, message)
+            else:
+                keys = [key for key in path if isinstance(key, str)]
+                section = ".".join(keys[:-1]) or "config"
+                assert message.startswith(f"{section}: "), (path, message)
+                assert keys[-1] in message, (path, message)
+        else:
+            assert_declared_types(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), explicit=st.booleans())
+    def test_synthetic_spec(self, data, explicit):
+        if explicit:
+            raw = {
+                "num_examples": 6,
+                "seed": 1,
+                "class_token_pools": [["a", "b"], ["c"]],
+                "shared_pool": ["d"],
+                "tokens_per_text": [1, 3],
+                "noise_rate": 0.2,
+            }
+        else:
+            raw = tiny_config_dict(Path("unused"))["corpus"]["synthetic"]
+        path = replace_somewhere(data, raw)
+        try:
+            spec = parse_synthetic_spec(raw, "spec")
+        except ConfigError as err:
+            assert str(err).startswith("spec: ") and path[0] in str(err), (path, str(err))
+        else:
+            assert_declared_types(spec)
 
 
 class TestVocabularyLeakage:
@@ -580,6 +721,42 @@ class TestGenSyntheticCommand:
         raw = {"num_examples": 10, "num_classes": 2, "seed": 1}
         spec = parse_synthetic_spec(raw, "test")
         assert spec.num_classes == 2
+
+    @pytest.mark.parametrize("command", [["run"], ["gen-synthetic", "out.csv"]])
+    def test_invalid_json_names_path_line_and_column(self, tmp_path, capsys, command):
+        """``run`` and ``gen-synthetic`` read JSON files alike."""
+        path = tmp_path / "broken.json"
+        path.write_text('{\n  "num_examples": 10,\n  oops\n}', encoding="utf-8")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3:3: invalid JSON")
+
+    @pytest.mark.parametrize("command", [["run"], ["gen-synthetic", "out.csv"]])
+    @pytest.mark.parametrize("content", [None, "directory", b'{"seed": "\xff"}'])
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, command, content):
+        """A missing file, a directory, or bytes that are not UTF-8."""
+        path = tmp_path / "config.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read (")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_rate", "0.1"), ("num_examples", "200"), ("seed", "x"), ("tokens_per_text", 5),
+         ("num_classes", 2.0), ("class_pool_size", True)],
+    )
+    def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, key, value):
+        spec = tiny_config_dict(tmp_path)["corpus"]["synthetic"]
+        spec[key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["gen-synthetic", str(spec_path), str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1
+        assert key in err and repr(value) in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
