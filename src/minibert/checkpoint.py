@@ -4,9 +4,11 @@ A model checkpoint is a directory holding ``manifest.json`` (the model
 config plus a name/shape index of every parameter), ``params.bin`` (the
 parameters as little-endian float32, concatenated in manifest order),
 and ``vocab.txt``.  An ensemble checkpoint is a directory of member
-checkpoints plus ``ensemble.json``.  Loading rejects any shape, name, or
-size mismatch.  ``save_checkpoint`` and ``load_checkpoint`` pick the
-format for the caller.
+checkpoints ``member-00``, ``member-01``, ... plus ``ensemble.json``.  A
+save writes the manifest that ``_model_manifest`` or ``_ensemble_manifest``
+builds from its config, and a load rejects any manifest that differs from
+that of the config it holds.  ``save_checkpoint`` and ``load_checkpoint``
+pick the format for the caller.
 
 Saving removes the old manifest first and writes the new one last;
 ``params.bin`` and the manifests go to a temporary name that
@@ -18,13 +20,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from reprlib import repr as _short
 
 import numpy as np
 
-from .ensemble import VOTING_RULES, EnsembleConfig, EnsembleModel
-from .errors import CheckpointError, ConfigError
+from .ensemble import EnsembleConfig, EnsembleModel
+from .errors import CheckpointError, ConfigError, read_section
 from .model import ClassifierModel, ModelConfig, parameter_shapes
 from .tensor import Tensor
 from .tokenizer import Vocabulary
@@ -33,10 +37,31 @@ MODEL_MANIFEST = "manifest.json"
 PARAMS_FILE = "params.bin"
 VOCAB_FILE = "vocab.txt"
 ENSEMBLE_MANIFEST = "ensemble.json"
+_MEMBER_DIR = "member-{:02d}"
 
 _MODEL_FORMAT = "minibert-model-v1"
 _ENSEMBLE_FORMAT = "minibert-ensemble-v1"
 _PARAM_DTYPE = np.dtype("<f4")
+
+
+def _model_manifest(config: ModelConfig) -> dict:
+    return {
+        "format": _MODEL_FORMAT,
+        "config": asdict(config),
+        "params": [{"name": n, "shape": list(s)} for n, s in parameter_shapes(config).items()],
+        "vocab_file": VOCAB_FILE,
+    }
+
+
+def _ensemble_manifest(config: EnsembleConfig) -> dict:
+    return {
+        "format": _ENSEMBLE_FORMAT,
+        "n_members": config.n_members,
+        "voting": config.voting,
+        "shared_init": config.shared_init,
+        "member_shuffle_seeds": list(config.member_shuffle_seeds),
+        "members": [_MEMBER_DIR.format(index) for index in range(config.n_members)],
+    }
 
 
 def _write_atomic(path: Path, payload: bytes) -> None:
@@ -57,93 +82,85 @@ def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / MODEL_MANIFEST).unlink(missing_ok=True)
-    names = list(parameter_shapes(model.config))
+    manifest = _model_manifest(model.config)
     vocab.save(directory / VOCAB_FILE)
-    _write_atomic(
-        directory / PARAMS_FILE,
-        b"".join(
-            np.ascontiguousarray(model.params[name].data, dtype=_PARAM_DTYPE).tobytes()
-            for name in names
-        ),
-    )
-    manifest = {
-        "format": _MODEL_FORMAT,
-        "config": asdict(model.config),
-        "params": [
-            {"name": name, "shape": list(model.params[name].shape)} for name in names
-        ],
-        "vocab_file": VOCAB_FILE,
-    }
+    arrays = [model.params[entry["name"]].data for entry in manifest["params"]]
+    blob = b"".join(array.astype(_PARAM_DTYPE).tobytes() for array in arrays)
+    _write_atomic(directory / PARAMS_FILE, blob)
     _write_atomic(directory / MODEL_MANIFEST, _manifest_bytes(manifest))
     return directory
 
 
-def _read_manifest(path: Path, kind: str, expected_format: str) -> dict:
+@contextmanager
+def _defects_of(path: Path):
+    """Report a failure to decode or check ``path`` as a CheckpointError."""
+    try:
+        yield
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from None
+
+
+def _read_manifest(path: Path, kind: str) -> dict:
     """Parse a checkpoint manifest; any defect is a ``CheckpointError``."""
     if not path.exists():
         raise CheckpointError(f"no {kind} manifest at {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a UnicodeDecodeError too: JSON text is UTF-8
         raise CheckpointError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
-    if manifest.get("format") != expected_format:
-        raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
     return manifest
+
+
+def _require_saved(found, saved, read_from: dict, where: str = "manifest") -> None:
+    """Raise a ConfigError at the first key, type or value in which ``found``
+    differs from ``saved``, the manifest that a save of ``read_from`` writes."""
+    if isinstance(found, dict) and isinstance(saved, dict):
+        odd = [f"is missing {key!r}" for key in saved if key not in found]
+        odd += [f"has unknown key {key!r}" for key in found if key not in saved]
+        if odd:
+            raise ConfigError(f"{where} {odd[0]}")
+        inner = [(found[key], value, f"{where}.{key}") for key, value in saved.items()]
+    elif isinstance(found, list) and isinstance(saved, list) and len(found) == len(saved):
+        inner = [(*pair, f"{where}[{i}]") for i, pair in enumerate(zip(found, saved))]
+    elif type(found) is type(saved) and found == saved:
+        return
+    else:
+        found, saved = _short(found), _short(saved)
+        raise ConfigError(f"{where} is {found}, but a save of {read_from} writes {saved}")
+    for item, value, at in inner:
+        _require_saved(item, value, read_from, at)
 
 
 def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / MODEL_MANIFEST
-    manifest = _read_manifest(manifest_path, "model", _MODEL_FORMAT)
-    try:
-        config = ModelConfig(**manifest["config"])
-    except (TypeError, ConfigError, KeyError) as err:
-        raise CheckpointError(f"{manifest_path}: bad config ({err})") from err
-
-    expected = parameter_shapes(config)
-    try:
-        entries = [
-            (entry["name"], tuple(entry["shape"])) for entry in manifest.get("params", [])
-        ]
-    except KeyError as err:
-        raise CheckpointError(f"{manifest_path}: a params entry is missing {err}") from err
-    except TypeError as err:
-        raise CheckpointError(f"{manifest_path}: malformed params entry ({err})") from err
-    if [name for name, _ in entries] != list(expected):
-        raise CheckpointError(
-            f"{manifest_path}: parameter list does not match the config's layout"
+    manifest = _read_manifest(manifest_path, "model")
+    with _defects_of(manifest_path):
+        config = read_section(
+            ModelConfig, manifest.get("config"), "manifest.config", all_required=True
         )
-    for name, shape in entries:
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"{manifest_path}: parameter {name} has shape "
-                f"{shape}, config requires {expected[name]}"
-            )
+        _require_saved(manifest, _model_manifest(config), manifest["config"])
 
-    raw = (directory / PARAMS_FILE).read_bytes()
-    total = sum(int(np.prod(shape)) for _, shape in entries)
-    if len(raw) != total * _PARAM_DTYPE.itemsize:
-        raise CheckpointError(
-            f"{directory / PARAMS_FILE}: has {len(raw)} bytes, "
-            f"manifest requires {total * _PARAM_DTYPE.itemsize}"
-        )
-    flat = np.frombuffer(raw, dtype=_PARAM_DTYPE)
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape in entries:
-        count = int(np.prod(shape))
-        data = flat[offset : offset + count].reshape(shape).astype(np.float32)
-        params[name] = Tensor(data, requires_grad=True)
-        offset += count
+    shapes = parameter_shapes(config)
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    params_path = directory / PARAMS_FILE
+    raw = params_path.read_bytes()
+    size = sum(sizes) * _PARAM_DTYPE.itemsize
+    if len(raw) != size:
+        raise CheckpointError(f"{params_path}: has {len(raw)} bytes, manifest requires {size}")
+    chunks = np.split(np.frombuffer(raw, dtype=_PARAM_DTYPE), np.cumsum(sizes)[:-1])
+    params = {
+        name: Tensor(chunk.reshape(shape).astype(np.float32), requires_grad=True)
+        for (name, shape), chunk in zip(shapes.items(), chunks)
+    }
 
-    vocab = Vocabulary.load(directory / manifest.get("vocab_file", VOCAB_FILE))
+    vocab_path = directory / VOCAB_FILE
+    with _defects_of(vocab_path):
+        vocab = Vocabulary.load(vocab_path)
     if len(vocab) != config.vocab_size:
-        raise CheckpointError(
-            f"{directory}: vocabulary has {len(vocab)} entries, "
-            f"config requires {config.vocab_size}"
-        )
+        raise CheckpointError(f"{vocab_path}: {len(vocab)} tokens, config has {config.vocab_size}")
     return ClassifierModel(config, params), vocab
 
 
@@ -153,19 +170,9 @@ def save_ensemble(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / ENSEMBLE_MANIFEST).unlink(missing_ok=True)
-    member_dirs = []
-    for i, member in enumerate(ensemble.members):
-        member_dir = f"member-{i:02d}"
+    manifest = _ensemble_manifest(ensemble.config)
+    for member, member_dir in zip(ensemble.members, manifest["members"]):
         save_model(member, directory / member_dir, vocab)
-        member_dirs.append(member_dir)
-    manifest = {
-        "format": _ENSEMBLE_FORMAT,
-        "n_members": ensemble.config.n_members,
-        "voting": ensemble.config.voting,
-        "shared_init": ensemble.config.shared_init,
-        "member_shuffle_seeds": list(ensemble.config.member_shuffle_seeds),
-        "members": member_dirs,
-    }
     _write_atomic(directory / ENSEMBLE_MANIFEST, _manifest_bytes(manifest))
     return directory
 
@@ -173,44 +180,30 @@ def save_ensemble(
 def load_ensemble(directory: str | Path) -> tuple[EnsembleModel, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / ENSEMBLE_MANIFEST
-    manifest = _read_manifest(manifest_path, "ensemble", _ENSEMBLE_FORMAT)
-    if manifest.get("voting") not in VOTING_RULES:
-        raise CheckpointError(f"{manifest_path}: unknown voting rule {manifest.get('voting')!r}")
-    try:
-        member_dirs = manifest["members"]
-        n_members = manifest["n_members"]
-        shuffle_seeds = list(manifest["member_shuffle_seeds"])
-    except KeyError as err:
-        raise CheckpointError(f"{manifest_path}: manifest is missing {err}") from err
-    except TypeError as err:
-        raise CheckpointError(f"{manifest_path}: bad member_shuffle_seeds ({err})") from err
-    members = []
-    vocab: Vocabulary | None = None
-    for member_dir in member_dirs:
-        member, member_vocab = load_model(directory / member_dir)
-        if vocab is None:
-            vocab = member_vocab
-        elif vocab.id_to_token != member_vocab.id_to_token:
-            raise CheckpointError(f"{directory}: members disagree on the vocabulary")
+    manifest = _read_manifest(manifest_path, "ensemble")
+    first_dir = directory / _MEMBER_DIR.format(0)
+    first, vocab = load_model(first_dir)
+    section = {f.name: manifest[f.name] for f in fields(EnsembleConfig) if f.name in manifest}
+    with _defects_of(manifest_path):
+        config = read_section(
+            EnsembleConfig, section, "manifest", all_required=True,
+            member_model_config=first.config,
+        )
+        _require_saved(manifest, _ensemble_manifest(config), section)
+    members = [first]
+    for index in range(1, config.n_members):
+        member_dir = directory / _MEMBER_DIR.format(index)
+        member, member_vocab = load_model(member_dir)
+        # members share one vocabulary and one model shape; init seeds may differ
+        shape = replace(member.config, init_seed=first.config.init_seed)
+        for name, same in (
+            (VOCAB_FILE, member_vocab.id_to_token == vocab.id_to_token),
+            (MODEL_MANIFEST, shape == first.config),
+        ):
+            if not same:
+                raise CheckpointError(f"{member_dir / name}: differs from {first_dir / name}")
         members.append(member)
-    if vocab is None:
-        raise CheckpointError(f"{manifest_path}: lists no members")
-    if len(members) != n_members:
-        raise CheckpointError(
-            f"{manifest_path}: n_members={n_members} but "
-            f"{len(members)} member checkpoints listed"
-        )
-    try:
-        config = EnsembleConfig(
-            member_model_config=members[0].config,
-            n_members=n_members,
-            shared_init=manifest.get("shared_init", True),
-            member_shuffle_seeds=shuffle_seeds,
-            voting=manifest["voting"],
-        )
-        return EnsembleModel(members, config), vocab
-    except ConfigError as err:
-        raise CheckpointError(f"{manifest_path}: {err}") from err
+    return EnsembleModel(members, config), vocab
 
 
 def is_ensemble_checkpoint(directory: str | Path) -> bool:

@@ -19,9 +19,9 @@ from pathlib import Path
 from .checkpoint import load_checkpoint
 from .corpus import load_csv, save_csv, generate_synthetic
 from .ensemble import evaluate
-from .errors import CheckpointError, ConfigError, CorpusError
+from .errors import CheckpointError, ConfigError, CorpusError, read_json
 from .evaluation import METRIC_NAMES, ConfusionMatrix, accuracy_per_minute, metrics, round_half_up
-from .experiment import load_experiment_config, parse_synthetic_spec, read_json, run_experiment
+from .experiment import load_experiment_config, parse_synthetic_spec, run_experiment
 from .tokenizer import encode
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CorpusError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, FileNotFoundError, RuntimeError, ValueError) as err:
+    except (CheckpointError, OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     raise AssertionError("unreachable")
@@ -107,9 +107,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_eval(args) -> int:
     checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        print(f"error: checkpoint not found: {checkpoint}", file=sys.stderr)
-        return EXIT_RUNTIME
     corpus = load_csv(args.corpus)
     predictor, vocab, config = load_checkpoint(checkpoint)
     if corpus.num_classes > config.num_classes:

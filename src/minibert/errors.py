@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the type check that the
-config dataclasses share."""
+"""Exception types shared across the package, and the reader and type
+check that the config dataclasses share."""
 
 import functools
+import inspect
+import json
 import math
 import numbers
 import types
 import typing
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -24,6 +27,8 @@ class TrainingError(RuntimeError):
     """Training aborted; messages carry the epoch and batch context."""
 
 
+# required in a config, though the dataclasses default them for library use
+_SEED_KEYS = ("seed", "init_seed", "shuffle_seed", "split_seed", "member_shuffle_seeds")
 _NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 # evaluating the string annotations is slow; owners are a few fixed classes
 _type_hints = functools.cache(typing.get_type_hints)
@@ -34,12 +39,15 @@ def check_types(owner, values: dict) -> None:
     (a dataclass or a function) annotates for its name, naming the key and
     the value, before range checks compare it.  A bool is not a number, an
     integer is a valid float, a float must be finite, and a list stands for
-    a tuple (JSON has none)."""
+    a tuple (JSON has none).  Every seed must also be >= 0."""
     hints = _type_hints(owner)
     for name, value in values.items():
         if name in hints and not _has_type(value, hints[name]):
             wanted = _NAMES.get(hints[name]) or owner.__annotations__[name]
             raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        seeds = value if isinstance(value, list) else [value]
+        if name in _SEED_KEYS and any(seed < 0 for seed in seeds):
+            raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
 def _has_type(value, hint) -> bool:
@@ -56,3 +64,41 @@ def _has_type(value, hint) -> bool:
         finite = not isinstance(value, float) or math.isfinite(value)
         return isinstance(value, wanted) and not isinstance(value, bool) and finite
     return isinstance(value, hint)
+
+
+def read_section(build, section, where: str, *, all_required=False, **derived):
+    """Call ``build`` (a config dataclass, or ``SyntheticSpec.balanced``) with
+    the JSON object ``section``.  Its parameters, less the ``derived`` ones
+    the caller gives, are the allowed keys; those without a default, and the
+    seeds, are required, or all of them with ``all_required``.  Each
+    ConfigError is prefixed with ``where``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {section!r}")
+    params = inspect.signature(build).parameters
+    allowed = sorted(set(params) - set(derived))
+    unknown = {key: section[key] for key in sorted(set(section) - set(allowed))}
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {allowed}")
+    for name in allowed:
+        required = all_required or name in _SEED_KEYS or params[name].default is params[name].empty
+        if required and name not in section:
+            raise ConfigError(f"{where} is missing {name!r}")
+    try:
+        return build(**section, **derived)
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file ``path``; an unreadable or non-UTF-8 file,
+    or invalid JSON, is a ConfigError naming the path (and ``line:col``)."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = f"not UTF-8, {err.reason}" if isinstance(err, UnicodeDecodeError) else err.strerror
+        raise ConfigError(f"{path}: cannot read ({reason})") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})") from None

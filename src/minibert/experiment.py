@@ -10,7 +10,6 @@ The vocabulary is always built from the training split only.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -20,37 +19,11 @@ from typing import TextIO
 from .checkpoint import save_checkpoint
 from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
-from .errors import ConfigError, TrainingError, check_types
+from .errors import ConfigError, TrainingError, check_types, read_json, read_section
 from .evaluation import ComparisonReport, TimingRecord, compare_report
 from .model import ModelConfig, init_model
 from .tokenizer import MIN_SEQ_LEN, NUM_SPECIAL_TOKENS, Vocabulary, build_vocab, encode
 from .training import TrainConfig, TrainRun, split_dataset, train
-
-
-# required in a config, though the dataclasses default them for library use
-_SEED_KEYS = ("seed", "init_seed", "shuffle_seed", "split_seed", "member_shuffle_seeds")
-
-
-def read_section(build, section, where: str, **derived):
-    """Call ``build`` (a config dataclass, or ``SyntheticSpec.balanced``) with
-    the JSON object ``section``.  Its parameters, less the ``derived`` ones
-    the caller gives, are the allowed keys; those without a default, and the
-    seeds, are required.  Each ConfigError is prefixed with ``where``."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: must be a JSON object, got {section!r}")
-    params = inspect.signature(build).parameters
-    allowed = sorted(set(params) - set(derived))
-    unknown = {key: section[key] for key in sorted(set(section) - set(allowed))}
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {allowed}")
-    for name in allowed:
-        required = name in _SEED_KEYS or params[name].default is params[name].empty
-        if required and name not in section:
-            raise ConfigError(f"{where}: missing required key {name!r}")
-    try:
-        return build(**section, **derived)
-    except ConfigError as err:
-        raise ConfigError(f"{where}: {err}") from None
 
 
 @dataclass
@@ -188,21 +161,6 @@ def parse_synthetic_spec(section, where: str) -> SyntheticSpec:
     chosen form does not read is rejected, not ignored."""
     explicit = isinstance(section, dict) and "class_token_pools" in section
     return read_section(SyntheticSpec if explicit else SyntheticSpec.balanced, section, where)
-
-
-def read_json(path: str | Path):
-    """The JSON value in the file ``path``; an unreadable or non-UTF-8 file,
-    or invalid JSON, is a ConfigError naming the path (and ``line:col``)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        reason = f"not UTF-8, {err.reason}" if isinstance(err, UnicodeDecodeError) else err.strerror
-        raise ConfigError(f"{path}: cannot read ({reason})") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})") from None
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

@@ -36,14 +36,17 @@ class TrainConfig:
 
     def __post_init__(self):
         check_types(type(self), vars(self))
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name, holds, rule in (
+            ("epochs", self.epochs >= 1, "be >= 1"),
+            ("batch_size", self.batch_size >= 1, "be >= 1"),
+            ("split_ratio", 0.0 < self.split_ratio < 1.0, "lie in (0, 1)"),
+            ("learning_rate", self.learning_rate > 0, "be > 0"),
+            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "lie in [0, 1)"),
+            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "lie in [0, 1)"),
+            ("adam_epsilon", self.adam_epsilon > 0, "be > 0"),
+        ):
+            if not holds:
+                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)}")
 
 
 @dataclass

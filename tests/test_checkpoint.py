@@ -1,14 +1,22 @@
 """Checkpoint tests: manifest/parameter-blob layout, exact predict
 equality after a save/load round trip, rejection of mismatched or
-corrupt checkpoints, and saves that fail part way leaving nothing that
-loads; ``load_checkpoint`` and ``save_checkpoint`` pick the format."""
+corrupt checkpoints (also any one defect fuzzed into a saved checkpoint),
+and saves that fail part way leaving nothing that loads;
+``load_checkpoint`` and ``save_checkpoint`` pick the format."""
 
+import io
 import json
+import re
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minibert.checkpoint import (
     is_ensemble_checkpoint,
@@ -19,10 +27,12 @@ from minibert.checkpoint import (
     save_ensemble,
     save_model,
 )
+from minibert.cli import main
 from minibert.ensemble import EnsembleConfig, EnsembleModel
 from minibert.errors import CheckpointError
 from minibert.model import ClassifierModel, ModelConfig, init_model
 from minibert.tokenizer import build_vocab, encode
+from test_cli import JSON_TYPES, json_paths, replace_somewhere
 
 
 @pytest.fixture
@@ -178,6 +188,26 @@ class TestEnsembleCheckpoint:
         with pytest.raises(CheckpointError, match=f"ensemble.json: manifest is missing '{key}'"):
             load_ensemble(tmp_path / "ens")
 
+    @pytest.mark.parametrize("changed", ["vocab.txt", "manifest.json"])
+    def test_members_disagreeing_rejected(self, tmp_path, setup, changed):
+        """Members may differ in their init seeds only; the error names the
+        odd member's file and the first member's."""
+        vocab, config, model = setup
+        save_ensemble(make_ensemble(config, n_members=3), tmp_path / "ens", vocab)
+        path = tmp_path / "ens" / "member-02" / changed
+        if changed == "vocab.txt":
+            lines = path.read_text().splitlines()
+            lines[5], lines[6] = lines[6], lines[5]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            manifest = json.loads(path.read_text())
+            manifest["config"]["init_scale"] = 0.5
+            path.write_text(json.dumps(manifest))
+        first = tmp_path / "ens" / "member-00" / changed
+        message = f"{path}: differs from {first}"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+            load_ensemble(tmp_path / "ens")
+
     def test_invalid_json_rejected(self, tmp_path, setup):
         vocab, config, model = setup
         save_ensemble(make_ensemble(config), tmp_path / "ens", vocab)
@@ -271,3 +301,124 @@ class TestFailedSave:
         for name, param in model.params.items():
             assert np.array_equal(loaded.params[name].data, param.data)
         assert sorted(p.name for p in directory.iterdir()) == ["manifest.json", "params.bin", "vocab.txt"]
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A saved model and a saved 3-member ensemble whose members differ,
+    examples encoded with their vocabulary, and a CSV of the same texts."""
+    root = tmp_path_factory.mktemp("saved")
+    texts = ["red green", "blue cyan magenta", "yellow red blue", "cyan", "green yellow"]
+    vocab = build_vocab(texts, max_size=30)
+    config = ModelConfig(
+        vocab_size=len(vocab), hidden_dim=8, num_layers=2, num_heads=2,
+        ff_dim=16, max_seq_len=10, num_classes=2, init_seed=77, init_scale=0.5,
+    )
+    save_model(init_model(config), root / "model", vocab)
+    members = [init_model(replace(config, init_seed=seed)) for seed in (1, 2, 3)]
+    ens_config = EnsembleConfig(
+        member_model_config=config, n_members=3, shared_init=False,
+        member_shuffle_seeds=[4, 5, 6], voting="average_probability",
+    )
+    save_ensemble(EnsembleModel(members, ens_config), root / "ensemble", vocab)
+    records = [(text, i % 2) for i, text in enumerate(texts * 4)]
+    (root / "eval.csv").write_text(
+        "text,label\n" + "".join(f"{text},{label}\n" for text, label in records)
+    )
+    examples = [encode(text, vocab, 10, label) for text, label in records]
+    return root, examples
+
+
+def predictions(predictor, examples):
+    if isinstance(predictor, EnsembleModel):
+        voted = predictor.predict(examples)
+        return np.concatenate([voted.labels[None], voted.member_labels])
+    return predictor.predict(examples)
+
+
+def corrupt(data, path: Path) -> None:
+    """Make one change to the checkpoint file ``path``: a manifest value of
+    another JSON type, a deleted or an added key; a truncated or extended
+    ``params.bin``; or a ``vocab.txt`` that is not UTF-8, lacks a special
+    token, repeats, drops, adds or swaps tokens."""
+    if path.name == "params.bin":
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(1, len(raw)))
+        extra = data.draw(st.binary(min_size=1, max_size=64))
+        path.write_bytes(data.draw(st.sampled_from([raw[:-cut], raw + extra])))
+    elif path.name == "vocab.txt":
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line = st.integers(0, len(lines) - 1)
+        choice = data.draw(st.sampled_from(["bytes", "special", "repeat", "drop", "add", "swap"]))
+        if choice == "special":
+            lines[data.draw(st.integers(0, 4))] = "[NOPE]"
+        elif choice == "repeat":
+            i, j = data.draw(st.lists(line, min_size=2, max_size=2, unique=True))
+            lines[i] = lines[j]
+        elif choice == "drop":
+            del lines[data.draw(line)]
+        elif choice == "add":
+            lines.append("newtoken")
+        elif choice == "swap":
+            k = data.draw(st.integers(5, len(lines) - 1))
+            lines[k], lines[5] = lines[5], lines[k]
+        raw = ("\n".join(lines) + "\n").encode("utf-8")
+        path.write_bytes(raw.replace(b"\n", b"\n\xff", 1) if choice == "bytes" else raw)
+    else:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        holders = [()] + [p for p in json_paths(manifest) if isinstance(lookup(manifest, p), dict)]
+        keyed = [p for p in json_paths(manifest) if isinstance(lookup(manifest, p[:-1]), dict)]
+        choice = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if choice == "replace":
+            replace_somewhere(data, manifest)
+        elif choice == "delete":
+            where = data.draw(st.sampled_from(keyed))
+            del lookup(manifest, where[:-1])[where[-1]]
+        else:
+            holder = lookup(manifest, data.draw(st.sampled_from(holders)))
+            key = data.draw(st.text(max_size=8).filter(lambda key: key not in holder))
+            holder[key] = data.draw(st.one_of(list(JSON_TYPES.values())))
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def lookup(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+class TestFuzzedCheckpoint:
+    """One defect anywhere in a saved checkpoint either leaves it loading
+    to the same predictions or raises a CheckpointError naming the changed
+    file, and ``minibert eval`` then prints one ``error:`` line and exits 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["model", "ensemble"]))
+    def test_one_defect(self, saved, data, kind):
+        root, examples = saved
+        files = sorted(
+            str(path.relative_to(root / kind)) for path in (root / kind).rglob("*") if path.is_file()
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            checkpoint = Path(scratch) / kind
+            shutil.copytree(root / kind, checkpoint)
+            changed = checkpoint / data.draw(st.sampled_from(files))
+            corrupt(data, changed)
+            try:
+                predictor, _, _ = load_checkpoint(checkpoint)
+            except CheckpointError as err:
+                assert str(changed) in str(err), str(err)
+                expected_code = 1
+            else:
+                original, _, _ = load_checkpoint(root / kind)
+                assert np.array_equal(
+                    predictions(predictor, examples), predictions(original, examples)
+                )
+                expected_code = 0
+            stderr = io.StringIO()
+            with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+                code = main(["eval", str(checkpoint), str(root / "eval.csv")])
+            assert code == expected_code, stderr.getvalue()
+            if code:
+                line, = stderr.getvalue().splitlines()
+                assert line.startswith("error: ") and str(changed) in line, line

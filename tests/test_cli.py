@@ -393,6 +393,47 @@ class TestConfigRejectedBeforeAnyWork:
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, "config: ", key, repr(value))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "init_seed", -1),
+            ("train", "shuffle_seed", -1),
+            ("train", "split_seed", -1),
+            ("corpus.synthetic", "seed", -1),
+            ("train", "adam_beta1", 1.5),
+            ("train", "adam_beta1", -0.1),
+            ("train", "adam_beta2", 1.0),
+            ("train", "adam_epsilon", -1.0),
+            ("train", "adam_epsilon", 0.0),
+        ],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, section, key, value):
+        """Seeds must be >= 0, Adam's betas lie in [0, 1) and its epsilon is > 0."""
+        raw = tiny_config_dict(tmp_path / "runs")
+        nested_section(raw, section)[key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, f"{section}: ", key, repr(value))
+
+    def test_negative_member_shuffle_seed(self, tmp_path, capsys):
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["variants"][0]["member_shuffle_seeds"] = [101, -1, 103]
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(
+            tmp_path, capsys, config_path, "variants[0] 'ensemble-3x1': member_shuffle_seeds",
+            "[101, -1, 103]",
+        )
+
+    def test_negative_synthetic_seed_under_gen_synthetic(self, tmp_path, capsys):
+        spec = tiny_config_dict(tmp_path)["corpus"]["synthetic"]
+        spec["seed"] = -1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["gen-synthetic", str(spec_path), str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {spec_path}: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_shipped_and_benchmark_configs_are_accepted(self, tmp_path, monkeypatch):
         repo = Path(__file__).resolve().parents[1]
         load_experiment_config(repo / "configs" / "experiment.json")
@@ -661,6 +702,69 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(manifest_path) in err
+
+    @pytest.mark.parametrize(
+        "manifest, key_path, value, phrase",
+        [
+            ("ensemble.json", ["members"], 5, "manifest.members is 5"),
+            ("ensemble.json", ["members"], [1, 2, 3], "manifest.members[0] is 1"),
+            ("ensemble.json", ["members", 1], "../decoy", "manifest.members[1] is '../decoy'"),
+            ("ensemble.json", ["n_members"], "3", "n_members must be an integer, got '3'"),
+            ("ensemble.json", ["votes"], "majority", "unknown key 'votes'"),
+            ("ensemble.json", ["shared_init"], None, "manifest is missing 'shared_init'"),
+            ("member-00/manifest.json", ["vocab_file"], 5, "manifest.vocab_file is 5"),
+            ("member-01/manifest.json", ["vocab_file"], "../../decoy/vocab.txt", "vocab_file"),
+            ("member-02/manifest.json", ["params", 3, "shape", 0], 8.0, "params[3].shape[0]"),
+        ],
+    )
+    def test_manifest_defect_names_file_and_key(
+        self, completed_run, tmp_path, capsys, manifest, key_path, value, phrase
+    ):
+        """A manifest must be what a save of its config writes; no name in it
+        is joined to a path, so a decoy checkpoint beside it is never read."""
+        _, run_dir = completed_run
+        checkpoint = tmp_path / "ensemble"
+        shutil.copytree(run_dir / "checkpoints" / "ensemble-3x1", checkpoint)
+        shutil.copytree(run_dir / "checkpoints" / "ensemble-3x1" / "member-01", tmp_path / "decoy")
+        manifest_path = checkpoint / manifest
+        doc = json.loads(manifest_path.read_text())
+        holder = doc
+        for key in key_path[:-1]:
+            holder = holder[key]
+        if value is None:
+            del holder[key_path[-1]]
+        else:
+            holder[key_path[-1]] = value
+        manifest_path.write_text(json.dumps(doc))
+        assert main(["eval", str(checkpoint), str(run_dir / "val.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest_path}: ") and err.count("\n") == 1, err
+        assert phrase in err
+
+    @pytest.mark.parametrize(
+        "name, content, phrase",
+        [
+            ("manifest.json", b'{"format": "minibert-model-v1\xff"}', "invalid JSON"),
+            ("vocab.txt", b"[PAD]\n\xff\n", "can't decode"),
+            ("vocab.txt", b"red\ngreen\n", "must start with"),
+            ("vocab.txt", None, "duplicate"),
+        ],
+    )
+    def test_checkpoint_file_defect_names_file(
+        self, completed_run, tmp_path, capsys, name, content, phrase
+    ):
+        _, run_dir = completed_run
+        checkpoint = tmp_path / "single"
+        shutil.copytree(run_dir / "checkpoints" / "single-3layer", checkpoint)
+        path = checkpoint / name
+        if content is None:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            content = "\n".join(lines[:-1] + [lines[5]]).encode("utf-8") + b"\n"
+        path.write_bytes(content)
+        assert main(["eval", str(checkpoint), str(run_dir / "val.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert phrase in err
 
     def test_text_output_lists_metrics(self, completed_run, capsys):
         _, run_dir = completed_run
