@@ -24,7 +24,6 @@ class LabeledCorpus:
 
     records: list[tuple[str, int]]
     num_classes: int
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.records:
@@ -44,14 +43,6 @@ class LabeledCorpus:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def texts(self) -> list[str]:
-        return [text for text, _ in self.records]
-
-    @property
-    def labels(self) -> list[int]:
-        return [label for _, label in self.records]
 
 
 def load_csv(path: str | Path) -> LabeledCorpus:
@@ -89,7 +80,7 @@ def load_csv(path: str | Path) -> LabeledCorpus:
     if not records:
         raise CorpusError(f"{path}: no data rows after the header")
     num_classes = max(label for _, label in records) + 1
-    return LabeledCorpus(records=records, num_classes=num_classes, provenance=str(path))
+    return LabeledCorpus(records=records, num_classes=num_classes)
 
 
 def save_csv(corpus: LabeledCorpus, path: str | Path) -> None:
@@ -188,8 +179,4 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledCorpus:
             else:
                 tokens.append(pool[int(rng.integers(len(pool)))])
         records.append((" ".join(tokens), label))
-    provenance = (
-        f"synthetic(num_examples={spec.num_examples}, classes={spec.num_classes}, "
-        f"noise_rate={spec.noise_rate}, seed={spec.seed})"
-    )
-    return LabeledCorpus(records=records, num_classes=spec.num_classes, provenance=provenance)
+    return LabeledCorpus(records=records, num_classes=spec.num_classes)

@@ -125,64 +125,30 @@ def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
     """Derive the four headline metrics from a confusion matrix.
 
-    Binary matrices use the class-1-positive definitions; larger matrices
-    macro-average the per-class precision/recall/F1.
+    Precision, recall and F1 are the mean over the scored classes: class 1
+    alone for a binary matrix, every class otherwise (macro average).
+    Binary flags keep ``METRIC_NAMES`` order; larger matrices sort them.
     """
     if cm.total == 0:
         raise ValueError("cannot compute metrics for an empty confusion matrix")
-    if cm.num_classes == 2:
-        return _binary_metrics(cm)
-    return _macro_metrics(cm)
-
-
-def _binary_metrics(cm: ConfusionMatrix) -> MetricsReport:
-    undefined = []
-    accuracy = (cm.tp + cm.tn) / cm.total
-    precision, p_undef = _ratio(cm.tp, cm.tp + cm.fp)
-    recall, r_undef = _ratio(cm.tp, cm.tp + cm.fn)
-    f1, f_undef = _ratio(2.0 * precision * recall, precision + recall)
-    if p_undef:
-        undefined.append("precision")
-    if r_undef:
-        undefined.append("recall")
-    if f_undef:
-        undefined.append("f1")
-    return MetricsReport(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        confusion=cm,
-        undefined=tuple(undefined),
-    )
-
-
-def _macro_metrics(cm: ConfusionMatrix) -> MetricsReport:
     counts = cm.counts
-    accuracy = float(np.trace(counts)) / cm.total
-    precisions, recalls, f1s = [], [], []
+    scores: dict[str, list[float]] = {"precision": [], "recall": [], "f1": []}
     undefined: set[str] = set()
-    for c in range(cm.num_classes):
+    for c in [1] if cm.num_classes == 2 else range(cm.num_classes):
         tp = float(counts[c, c])
         p, pu = _ratio(tp, counts[:, c].sum())
         r, ru = _ratio(tp, counts[c, :].sum())
         f, fu = _ratio(2.0 * p * r, p + r)
-        if pu:
-            undefined.add("precision")
-        if ru:
-            undefined.add("recall")
-        if fu:
-            undefined.add("f1")
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
+        for name, value, flag in (("precision", p, pu), ("recall", r, ru), ("f1", f, fu)):
+            scores[name].append(value)
+            if flag:
+                undefined.add(name)
+    order = METRIC_NAMES if cm.num_classes == 2 else sorted(METRIC_NAMES)
     return MetricsReport(
-        accuracy=accuracy,
-        precision=float(np.mean(precisions)),
-        recall=float(np.mean(recalls)),
-        f1=float(np.mean(f1s)),
+        accuracy=float(np.trace(counts)) / cm.total,
+        **{name: float(np.mean(values)) for name, values in scores.items()},
         confusion=cm,
-        undefined=tuple(sorted(undefined)),
+        undefined=tuple(name for name in order if name in undefined),
     )
 
 

@@ -185,12 +185,14 @@ class ExperimentResult:
 
 
 def _fresh_run_dir(root: Path) -> Path:
+    """A new ``run-<stamp>[-n].partial`` directory whose name is free both
+    with and without the ``.partial`` suffix."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = root / f"run-{stamp}"
+    candidate = root / f"run-{stamp}.partial"
     suffix = 1
-    while candidate.exists():
+    while candidate.exists() or candidate.with_suffix("").exists():
         suffix += 1
-        candidate = root / f"run-{stamp}-{suffix}"
+        candidate = root / f"run-{stamp}-{suffix}.partial"
     candidate.mkdir(parents=True)
     return candidate
 
@@ -214,7 +216,8 @@ def run_experiment(
     echo: TextIO | None = None,
 ) -> ExperimentResult:
     """Run every (non-gated) variant and write all artifacts under one
-    fresh timestamped directory."""
+    fresh timestamped directory.  It carries a ``.partial`` suffix until
+    every report is written, so a failed run never looks finished."""
     corpus = _load_corpus(config)
     if corpus.num_classes > config.model.num_classes:
         raise ConfigError(
@@ -267,6 +270,7 @@ def run_experiment(
 
     comparison = compare_report([(r.name, r.evaluation.metrics, r.timing) for r in results])
     _write_reports(run_dir, results, comparison, skipped)
+    run_dir = run_dir.rename(run_dir.with_suffix(""))
     return ExperimentResult(
         run_dir=run_dir, variants=results, comparison=comparison, skipped_gated=skipped
     )

@@ -24,6 +24,8 @@ from .tokenizer import (
 )
 
 ATTENTION_MASK_BIAS = -1e9
+# examples per no-grad forward in predict / predict_proba
+PREDICT_BATCH_SIZE = 64
 
 
 @dataclass
@@ -229,21 +231,21 @@ class ClassifierModel:
         """Class logits for a list of examples, trimmed to its longest one."""
         return self.forward(*trim_padding(*stack_examples(examples)))
 
-    def predict(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
+    def predict(self, examples: list[EncodedExample]) -> np.ndarray:
         """Predicted class indices, argmax of the logits; builds no graph."""
         out = np.empty(len(examples), dtype=np.int64)
-        return self._fill(out, examples, batch_size, lambda logits: np.argmax(logits.data, axis=1))
+        return self._fill(out, examples, lambda logits: np.argmax(logits.data, axis=1))
 
-    def predict_proba(self, examples: list[EncodedExample], batch_size: int = 64) -> np.ndarray:
+    def predict_proba(self, examples: list[EncodedExample]) -> np.ndarray:
         """Per-class probabilities, softmax of the logits, shape (N, C);
         builds no graph."""
         out = np.empty((len(examples), self.config.num_classes), dtype=np.float64)
-        return self._fill(out, examples, batch_size, lambda logits: T.softmax(logits, axis=-1).data)
+        return self._fill(out, examples, lambda logits: T.softmax(logits, axis=-1).data)
 
-    def _fill(self, out: np.ndarray, examples, batch_size: int, head) -> np.ndarray:
+    def _fill(self, out: np.ndarray, examples, head) -> np.ndarray:
         with T.no_grad():
-            for start in range(0, len(examples), batch_size):
-                chunk = examples[start : start + batch_size]
+            for start in range(0, len(examples), PREDICT_BATCH_SIZE):
+                chunk = examples[start : start + PREDICT_BATCH_SIZE]
                 out[start : start + len(chunk)] = head(self.logits(chunk))
         return out
 

@@ -68,10 +68,6 @@ class TrainRun:
     def final_val_accuracy(self) -> float:
         return self.epochs[-1].val_accuracy
 
-    @property
-    def total_minutes(self) -> float:
-        return self.total_seconds / 60.0
-
 
 def split_dataset(examples: Sequence, split_ratio: float, split_seed: int):
     """Seeded random split; the first ceil(N * ratio) of the permutation train.

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from minibert.evaluation import ConfusionMatrix, MetricsReport, _ratio
+
 FD_STEP = 1e-4
 REL_TOL = 1e-3
 ABS_TOL = 1e-6
@@ -213,3 +215,57 @@ def brute_force_confusion(predicted, actual, num_classes: int) -> np.ndarray:
     for p, a in zip(predicted, actual):
         counts[a][p] += 1
     return counts
+
+
+# -- forked metric paths, kept as the reference for evaluation.metrics ---
+
+
+def _binary_metrics(cm: ConfusionMatrix) -> MetricsReport:
+    undefined = []
+    accuracy = (cm.tp + cm.tn) / cm.total
+    precision, p_undef = _ratio(cm.tp, cm.tp + cm.fp)
+    recall, r_undef = _ratio(cm.tp, cm.tp + cm.fn)
+    f1, f_undef = _ratio(2.0 * precision * recall, precision + recall)
+    if p_undef:
+        undefined.append("precision")
+    if r_undef:
+        undefined.append("recall")
+    if f_undef:
+        undefined.append("f1")
+    return MetricsReport(
+        accuracy=accuracy,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        confusion=cm,
+        undefined=tuple(undefined),
+    )
+
+
+def _macro_metrics(cm: ConfusionMatrix) -> MetricsReport:
+    counts = cm.counts
+    accuracy = float(np.trace(counts)) / cm.total
+    precisions, recalls, f1s = [], [], []
+    undefined: set[str] = set()
+    for c in range(cm.num_classes):
+        tp = float(counts[c, c])
+        p, pu = _ratio(tp, counts[:, c].sum())
+        r, ru = _ratio(tp, counts[c, :].sum())
+        f, fu = _ratio(2.0 * p * r, p + r)
+        if pu:
+            undefined.add("precision")
+        if ru:
+            undefined.add("recall")
+        if fu:
+            undefined.add("f1")
+        precisions.append(p)
+        recalls.append(r)
+        f1s.append(f)
+    return MetricsReport(
+        accuracy=accuracy,
+        precision=float(np.mean(precisions)),
+        recall=float(np.mean(recalls)),
+        f1=float(np.mean(f1s)),
+        confusion=cm,
+        undefined=tuple(sorted(undefined)),
+    )

@@ -213,6 +213,24 @@ class TestRunCommand:
         assert override.exists() and list(override.iterdir())
         assert not (tmp_path / "runs").exists()
 
+    def test_failed_run_leaves_only_a_partial_directory(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        model = {**tiny_config_dict(runs)["model"], "init_scale": 1e30}
+        assert main(["run", str(tiny_config(tmp_path, model=model)), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "loss is nan" in err
+        [partial] = runs.glob("run-*")
+        assert partial.name.endswith(".partial")
+        assert (partial / "train_log.txt").is_file()
+
+        variants = [{"name": "only", "kind": "single", "num_layers": 1}]
+        assert main(["run", str(tiny_config(tmp_path, variants=variants)), "--quiet"]) == 0
+        [final] = set(runs.glob("run-*")) - {partial}
+        assert not final.name.endswith(".partial")
+        assert (final / "metrics.json").is_file()
+        assert f"run artifacts written to {final}\n" in capsys.readouterr().out
+
 
 # Every key each nested config section reads (a synthetic spec either
 # lists its pools or sizes generated ones).

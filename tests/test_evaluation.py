@@ -2,10 +2,15 @@
 metric arithmetic on published reference counts, timing economics, and
 comparison-report gap calculations."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from minibert.evaluation import (
+    METRIC_NAMES,
     ConfusionMatrix,
     MetricsReport,
     TimingRecord,
@@ -17,10 +22,22 @@ from minibert.evaluation import (
     relative_overhead,
     round_half_up,
 )
-from _oracles import brute_force_confusion
+from _oracles import _binary_metrics, _macro_metrics, brute_force_confusion
 
 # reference binary counts with well-known derived metrics
 REF = dict(tn=11858, fp=150, fn=565, tp=11427)
+
+
+@st.composite
+def count_matrices(draw) -> np.ndarray:
+    """1-5 class confusion counts, often with all-zero rows and columns."""
+    n = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, 40), min_size=n * n, max_size=n * n))
+    counts = np.array(cells, dtype=np.int64).reshape(n, n)
+    counts[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0
+    counts[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0
+    assume(counts.sum() > 0)
+    return counts
 
 
 class TestConfusionMatrix:
@@ -97,6 +114,16 @@ class TestMetrics:
             if not report.undefined:
                 assert min(report.precision, report.recall) <= report.f1
                 assert report.f1 <= max(report.precision, report.recall)
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_matrices())
+    @example(np.array([[3, 0], [2, 0]]))
+    def test_one_scoring_path_matches_the_forked_reference(self, counts):
+        cm = ConfusionMatrix(counts)
+        report = metrics(cm)
+        reference = _binary_metrics(cm) if cm.num_classes == 2 else _macro_metrics(cm)
+        assert json.dumps(report.as_dict()) == json.dumps(reference.as_dict())
+        assert {type(r.value(m)) for r in (report, reference) for m in METRIC_NAMES} == {float}
 
     def test_accuracy_equals_trace_over_total(self):
         cm = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 2], num_classes=3)
