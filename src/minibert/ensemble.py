@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, TrainingError, check_types
 from .evaluation import MetricsReport, confusion_matrix, metrics
-from .model import ClassifierModel, ModelConfig, example_labels, init_model
+from .model import ClassifierModel, ModelConfig, as_stacked, example_labels, init_model
 from .tokenizer import EncodedExample
 from .training import TrainConfig, TrainRun, train
 
@@ -167,14 +167,15 @@ def predict_ensemble(
 
     Each member runs one forward pass: ``predict`` for majority voting,
     ``predict_proba`` for average voting, whose argmax gives the member's
-    labels.
+    labels.  The examples are stacked once and every member reads that copy.
     """
+    inputs = as_stacked(examples)
     if ensemble.config.voting == AVERAGE_PROBABILITY:
-        member_probs = np.stack([m.predict_proba(examples) for m in ensemble.members])
+        member_probs = np.stack([m.predict_proba(inputs) for m in ensemble.members])
         member_labels = np.argmax(member_probs, axis=-1)
         labels = average_vote(member_probs)
     else:
-        member_labels = np.stack([m.predict(examples) for m in ensemble.members])
+        member_labels = np.stack([m.predict(inputs) for m in ensemble.members])
         labels = majority_vote(member_labels)
     disagreement = int(np.sum(~np.all(member_labels == member_labels[0], axis=0)))
     return EnsemblePrediction(

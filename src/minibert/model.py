@@ -4,6 +4,15 @@ corruption procedure used for optional pretraining.
 
 Residual blocks use post-layer-norm ordering.  There is no dropout; given
 fixed seeds every forward pass is bit-deterministic.
+
+Inference (under ``tensor.no_grad()``) computes only what the logits
+depend on: the last layer runs for the [CLS] query row alone, and
+``predict`` / ``predict_proba`` run examples shortest first in trimmed
+chunks.  Logits move at float rounding level only, so a label can differ
+from the full layer's only at a near-tie.  Training keeps every layer at
+every position, so trained weights stay bit for bit, and so does the cost
+of the ensemble's and the deep model's training steps: for a 1-layer
+member the last layer is nearly the whole encoder.
 """
 
 from __future__ import annotations
@@ -173,7 +182,13 @@ class ClassifierModel:
         positions = self.params["embed.position"][0:seq_len]
         return words + segments + positions
 
-    def encoder_layer(self, x: T.Tensor, attention_mask: np.ndarray, layer_index: int) -> T.Tensor:
+    def encoder_layer(
+        self,
+        x: T.Tensor,
+        attention_mask: np.ndarray,
+        layer_index: int,
+        query_rows: int | None = None,
+    ) -> T.Tensor:
         """One post-layer-norm residual block over (B, S, H) activations.
 
         Attention scores are scaled by 1/sqrt(head_dim); PAD key positions
@@ -181,17 +196,24 @@ class ClassifierModel:
         carry exactly zero weight.  That is what lets ``trim_padding`` cut a
         batch to its longest real sequence before it reaches the encoder
         without changing any result.
+
+        With ``query_rows`` R the block returns only the first R positions,
+        shape (B, R, H): keys and values still cover every position, while
+        the queries, the attention context, the output projection, both
+        layer norms and the feed-forward run on those R rows alone.
         """
         cfg = self.config
         p = self.params
         pre = f"layer{layer_index}."
         batch, seq, hidden = x.shape
         nh, hd = cfg.num_heads, cfg.head_dim
+        queries = x if query_rows is None else x[:, :query_rows, :]
+        rows = queries.shape[1]
 
         def split_heads(t: T.Tensor) -> T.Tensor:
-            return t.reshape(batch, seq, nh, hd).transpose(0, 2, 1, 3)
+            return t.reshape(batch, t.shape[1], nh, hd).transpose(0, 2, 1, 3)
 
-        q = split_heads(T.matmul(x, p[pre + "q_w"], p[pre + "q_b"]))
+        q = split_heads(T.matmul(queries, p[pre + "q_w"], p[pre + "q_b"]))
         k = split_heads(T.matmul(x, p[pre + "k_w"], p[pre + "k_b"]))
         v = split_heads(T.matmul(x, p[pre + "v_w"], p[pre + "v_b"]))
 
@@ -199,28 +221,42 @@ class ClassifierModel:
         mask = np.asarray(attention_mask, dtype=x.dtype).reshape(batch, 1, 1, seq)
         weights = T.softmax(scores, axis=-1, bias=(1.0 - mask) * ATTENTION_MASK_BIAS)
 
-        context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, hidden)
+        context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, rows, hidden)
         attended = T.matmul(context, p[pre + "out_w"], p[pre + "out_b"])
-        h = T.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"], residual=attended)
+        h = T.layer_norm(queries, p[pre + "ln1_g"], p[pre + "ln1_b"], residual=attended)
 
         ff = T.gelu(T.matmul(h, p[pre + "ff1_w"], p[pre + "ff1_b"]))
         ff = T.matmul(ff, p[pre + "ff2_w"], p[pre + "ff2_b"])
         return T.layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"], residual=ff)
 
     def encode(
-        self, token_ids: np.ndarray, segment_ids: np.ndarray, attention_mask: np.ndarray
+        self,
+        token_ids: np.ndarray,
+        segment_ids: np.ndarray,
+        attention_mask: np.ndarray,
+        last_query_rows: int | None = None,
     ) -> T.Tensor:
-        """Run the full encoder stack; returns hidden states (B, S, H)."""
+        """Run the encoder stack; returns hidden states (B, S, H), or
+        (B, R, H) when the last layer computes ``last_query_rows`` R only."""
         x = self.embed(token_ids, segment_ids)
+        last = self.config.num_layers - 1
         for i in range(self.config.num_layers):
-            x = self.encoder_layer(x, attention_mask, i)
+            x = self.encoder_layer(x, attention_mask, i, last_query_rows if i == last else None)
         return x
 
     def forward(
         self, token_ids: np.ndarray, segment_ids: np.ndarray, attention_mask: np.ndarray
     ) -> T.Tensor:
-        """Class logits (B, C) from the [CLS] hidden state through the head."""
-        hidden = self.encode(token_ids, segment_ids, attention_mask)
+        """Class logits (B, C) from the [CLS] hidden state through the head.
+
+        Under ``tensor.no_grad()`` the last layer computes the [CLS] row
+        alone, the only row the head reads; its logits differ from the
+        full layer's at float rounding level only.  With autodiff on, as
+        in training, every layer runs at every position.
+        """
+        hidden = self.encode(
+            token_ids, segment_ids, attention_mask, None if T.grad_enabled() else 1
+        )
         cls = hidden[:, 0, :]
         pooled = T.tanh(T.matmul(cls, self.params["head.hidden_w"], self.params["head.hidden_b"]))
         return T.matmul(pooled, self.params["head.out_w"], self.params["head.out_b"])
@@ -231,22 +267,32 @@ class ClassifierModel:
         """Class logits for a list of examples, trimmed to its longest one."""
         return self.forward(*trim_padding(*stack_examples(examples)))
 
-    def predict(self, examples: list[EncodedExample]) -> np.ndarray:
+    def predict(self, examples: list[EncodedExample] | StackedExamples) -> np.ndarray:
         """Predicted class indices, argmax of the logits; builds no graph."""
         out = np.empty(len(examples), dtype=np.int64)
         return self._fill(out, examples, lambda logits: np.argmax(logits.data, axis=1))
 
-    def predict_proba(self, examples: list[EncodedExample]) -> np.ndarray:
+    def predict_proba(self, examples: list[EncodedExample] | StackedExamples) -> np.ndarray:
         """Per-class probabilities, softmax of the logits, shape (N, C);
         builds no graph."""
         out = np.empty((len(examples), self.config.num_classes), dtype=np.float64)
         return self._fill(out, examples, lambda logits: T.softmax(logits, axis=-1).data)
 
     def _fill(self, out: np.ndarray, examples, head) -> np.ndarray:
+        """Write ``head(logits)`` row by row into ``out``, in input order.
+
+        Examples run shortest first in chunks of ``PREDICT_BATCH_SIZE``, so
+        each trimmed chunk holds texts of similar length and little padding.
+        """
+        if not len(examples):
+            return out
+        inputs = as_stacked(examples)
+        ids, segs, mask = inputs.token_ids, inputs.segment_ids, inputs.attention_mask
+        order = np.argsort(mask.sum(axis=1), kind="stable")
         with T.no_grad():
-            for start in range(0, len(examples), PREDICT_BATCH_SIZE):
-                chunk = examples[start : start + PREDICT_BATCH_SIZE]
-                out[start : start + len(chunk)] = head(self.logits(chunk))
+            for start in range(0, len(order), PREDICT_BATCH_SIZE):
+                rows = order[start : start + PREDICT_BATCH_SIZE]
+                out[rows] = head(self.forward(*trim_padding(ids[rows], segs[rows], mask[rows])))
         return out
 
 
@@ -260,6 +306,28 @@ def stack_examples(
     segs = np.asarray([e.segment_ids for e in examples], dtype=np.int64)
     mask = np.asarray([e.attention_mask for e in examples], dtype=np.int64)
     return ids, segs, mask
+
+
+@dataclass(frozen=True)
+class StackedExamples:
+    """Labelled examples stacked into arrays once, so that several
+    predictions over the same examples (ensemble members, epochs of
+    validation) share one copy."""
+
+    token_ids: np.ndarray
+    segment_ids: np.ndarray
+    attention_mask: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def as_stacked(examples: list[EncodedExample] | StackedExamples) -> StackedExamples:
+    """``examples`` stacked once; already stacked examples are returned as given."""
+    if isinstance(examples, StackedExamples):
+        return examples
+    return StackedExamples(*stack_examples(examples), example_labels(examples))
 
 
 def trim_padding(

@@ -24,6 +24,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "no_grad",
+    "grad_enabled",
     "add",
     "mul",
     "matmul",
@@ -213,6 +214,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether operations currently build the autodiff graph (false inside
+    ``no_grad``)."""
+    return _grad_enabled
 
 
 def as_tensor(value) -> Tensor:

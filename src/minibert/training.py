@@ -16,7 +16,14 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, TrainingError, check_types
-from .model import ClassifierModel, example_labels, stack_examples, trim_padding
+from .model import (
+    ClassifierModel,
+    StackedExamples,
+    as_stacked,
+    example_labels,
+    stack_examples,
+    trim_padding,
+)
 from .tokenizer import EncodedExample
 
 
@@ -155,12 +162,12 @@ class Adam:
             p.zero_grad()
 
 
-def accuracy(model: ClassifierModel, examples: list[EncodedExample]) -> float:
+def accuracy(model: ClassifierModel, examples: list[EncodedExample] | StackedExamples) -> float:
     """Fraction of examples whose argmax logit matches the label."""
-    if not examples:
+    if not len(examples):
         raise ValueError("cannot evaluate accuracy on an empty set")
-    predicted = model.predict(examples)
-    return float(np.mean(predicted == example_labels(examples)))
+    inputs = as_stacked(examples)
+    return float(np.mean(model.predict(inputs) == inputs.labels))
 
 
 def train(
@@ -194,6 +201,7 @@ def train(
     )
     ids, segs, mask = stack_examples(train_set)
     labels = example_labels(train_set)
+    val_inputs = as_stacked(val_set)
     n = len(train_set)
     stats: list[EpochStats] = []
     for epoch in range(config.epochs):
@@ -203,13 +211,15 @@ def train(
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             picked = order[start : start + config.batch_size]
             try:
-                logits = model.forward(*trim_padding(ids[picked], segs[picked], mask[picked]))
-                loss = T.cross_entropy(logits, labels[picked])
-                if not np.isfinite(loss.data):
-                    raise TrainingError(f"loss is {loss.item()}, training diverged")
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+                # a diverging run overflows to inf and nan; the loss check reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits = model.forward(*trim_padding(ids[picked], segs[picked], mask[picked]))
+                    loss = T.cross_entropy(logits, labels[picked])
+                    if not np.isfinite(loss.data):
+                        raise TrainingError(f"loss is {loss.item()}, training diverged")
+                    optimizer.zero_grad()
+                    loss.backward()
+                    optimizer.step()
             except Exception as err:
                 raise TrainingError(
                     f"epoch {epoch + 1}, batch {batch_index}: {err}"
@@ -217,7 +227,7 @@ def train(
             loss_total += loss.item() * len(picked)
         epoch_stats = EpochStats(
             mean_loss=loss_total / n,
-            val_accuracy=accuracy(model, val_set),
+            val_accuracy=accuracy(model, val_inputs),
             seconds=time.perf_counter() - epoch_started,
         )
         stats.append(epoch_stats)

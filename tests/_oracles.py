@@ -3,7 +3,9 @@
 Everything here is deliberately written without the package's autodiff:
 central finite differences, scalar re-implementations, and brute-force
 counting, so the tests check the library against a second, independent
-route to the same numbers.
+route to the same numbers.  The one exception, ``full_layer_logits``, is
+built from the model's own layers on purpose: it is the full-width forward
+that the [CLS]-only inference path must match, and training bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 
 import numpy as np
 
+from minibert import tensor as T
 from minibert.evaluation import ConfusionMatrix, MetricsReport, _ratio
 
 FD_STEP = 1e-4
@@ -138,6 +141,19 @@ def reference_layer_norm(x, gain, bias, grad, epsilon: float = 1e-5):
         - normalized * (d_norm * normalized).mean(axis=-1, keepdims=True)
     )
     return value, gx, (grad * normalized).sum(axis=lead), grad.sum(axis=lead)
+
+
+def full_layer_logits(model, token_ids, segment_ids, attention_mask) -> np.ndarray:
+    """Class logits with every encoder layer computed at every position,
+    then the head on the last layer's [CLS] row: the forward pass as
+    training runs it, composed from the model's own embedding, layer and
+    head pieces."""
+    p = model.params
+    x = model.embed(token_ids, segment_ids)
+    for i in range(model.config.num_layers):
+        x = model.encoder_layer(x, attention_mask, i)
+    pooled = T.tanh(T.matmul(x[:, 0, :], p["head.hidden_w"], p["head.hidden_b"]))
+    return T.matmul(pooled, p["head.out_w"], p["head.out_b"]).data
 
 
 def out_of_place_backward(loss) -> dict[int, np.ndarray]:

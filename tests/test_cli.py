@@ -10,6 +10,7 @@ import json
 import shutil
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,15 @@ class TestRunCommand:
         assert not final.name.endswith(".partial")
         assert (final / "metrics.json").is_file()
         assert f"run artifacts written to {final}\n" in capsys.readouterr().out
+
+    def test_diverged_run_prints_its_error_and_no_numpy_warning(self, tmp_path, capsys):
+        model = {**tiny_config_dict(tmp_path / "runs")["model"], "init_scale": 1e30}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(tiny_config(tmp_path, model=model)), "--quiet"]) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "loss is nan" in errors[0], errors
 
 
 # Every key each nested config section reads (a synthetic spec either

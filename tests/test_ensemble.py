@@ -1,7 +1,8 @@
 """Ensemble tests: voting rules against a brute-force mode oracle,
 permutation invariance, degenerate single-member ensembles, member
 diversity from distinct shuffle seeds, one forward pass per member
-per evaluation, and ``evaluate`` scoring models and ensembles alike."""
+per evaluation over one stacked copy of the examples, and ``evaluate``
+scoring models and ensembles alike."""
 
 import dataclasses
 import itertools
@@ -10,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import minibert.model as model_module
 from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.ensemble import (
     EnsembleConfig,
@@ -262,6 +264,19 @@ class TestOnePassPrediction:
         labels = np.array([e.label for e in val_set])
         reported = ensemble.predict(val_set).member_accuracies(labels)
         assert reported == [accuracy(m, val_set) for m in ensemble.members]
+
+    def test_examples_are_stacked_once(self, ensemble, trained_setup, monkeypatch):
+        *_, val_set, _ = trained_setup
+        stacked = []
+        stack = model_module.stack_examples
+
+        def recording_stack(examples):
+            stacked.append(len(examples))
+            return stack(examples)
+
+        monkeypatch.setattr(model_module, "stack_examples", recording_stack)
+        evaluate(ensemble, val_set)
+        assert stacked == [len(val_set)]
 
     def test_member_accuracies_reject_mismatched_labels(self):
         prediction = EnsemblePrediction(

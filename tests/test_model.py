@@ -1,7 +1,8 @@
 """Model tests: deterministic initialization, closed-form parameter
 counts, embedding sums, a step-by-step scalar recomputation of one
-encoder layer, [CLS]-head classification properties, padding isolation,
-and the masked-token corruption procedure."""
+encoder layer, [CLS]-head classification properties, the [CLS]-only
+inference path against the full-width forward, length-sorted prediction
+chunks, padding isolation, and the masked-token corruption procedure."""
 
 import dataclasses
 import math
@@ -25,7 +26,13 @@ from minibert.model import (
     trim_padding,
 )
 from minibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode
-from _oracles import scalar_gelu, scalar_layer_norm, scalar_softmax
+from _oracles import (
+    full_layer_logits,
+    reference_softmax,
+    scalar_gelu,
+    scalar_layer_norm,
+    scalar_softmax,
+)
 
 TINY = ModelConfig(
     vocab_size=10, hidden_dim=4, num_layers=1, num_heads=2, ff_dim=8,
@@ -285,6 +292,70 @@ class TestForwardClassify:
         loss.backward()
         for name, p in model.named_parameters():
             assert p.grad is not None and np.isfinite(p.grad).all(), name
+
+
+class TestClsOnlyInference:
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_no_grad_logits_match_the_full_layer(self, vocab, num_layers, monkeypatch):
+        model = init_model(dataclasses.replace(
+            TINY, vocab_size=len(vocab), num_layers=num_layers, hidden_dim=8, ff_dim=16,
+            init_scale=0.5, init_seed=num_layers,
+        ))
+        texts = ["alpha", "beta gamma delta", "alpha beta gamma delta epsilon zeta"]
+        ids, segs, mask = stack_examples(batch_for(texts, vocab))
+        assert mask.shape[1] == TINY.max_seq_len and mask[-1].all() and not mask[0].all()
+        expected = full_layer_logits(model, ids, segs, mask)
+
+        query_rows = []
+        layer = model.encoder_layer
+
+        def recording_layer(x, attention_mask, layer_index, rows=None):
+            query_rows.append(rows)
+            return layer(x, attention_mask, layer_index, rows)
+
+        monkeypatch.setattr(model, "encoder_layer", recording_layer)
+        with T.no_grad():
+            cls_only = model.forward(ids, segs, mask).data
+        assert query_rows == [None] * (num_layers - 1) + [1]
+        np.testing.assert_allclose(cls_only, expected, rtol=0, atol=1e-5)
+
+        query_rows.clear()
+        assert np.array_equal(model.forward(ids, segs, mask).data, expected)
+        assert query_rows == [None] * num_layers
+
+
+class TestPredict:
+    def test_rows_return_in_input_order_from_length_sorted_chunks(self, vocab, monkeypatch):
+        model = init_model(dataclasses.replace(
+            TINY, vocab_size=len(vocab), hidden_dim=8, ff_dim=16, num_classes=3, init_scale=0.5,
+        ))
+        rng = np.random.default_rng(0)
+        words = "alpha beta gamma delta epsilon zeta".split()
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 7))) for _ in range(150)]
+        examples = batch_for(texts, vocab)
+        assert len(examples) > 2 * model_module.PREDICT_BATCH_SIZE
+
+        widths = []
+        forward = model.forward
+
+        def recording_forward(token_ids, segment_ids, attention_mask):
+            widths.append(attention_mask.shape[1])
+            return forward(token_ids, segment_ids, attention_mask)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        labels = model.predict(examples)
+        assert widths == sorted(widths) and widths[0] < widths[-1]
+        probs = model.predict_proba(examples)
+        assert len(set(labels.tolist())) > 1
+        with T.no_grad():
+            singles = np.concatenate([model.logits([e]).data for e in examples])
+        np.testing.assert_allclose(probs, reference_softmax(singles), rtol=0, atol=1e-6)
+        assert np.array_equal(labels, np.argmax(probs, axis=1))
+
+        order = rng.permutation(len(examples))
+        permuted = [examples[i] for i in order]
+        assert np.array_equal(model.predict(permuted), labels[order])
+        np.testing.assert_allclose(model.predict_proba(permuted), probs[order], rtol=0, atol=1e-6)
 
 
 class TestTrimPadding:

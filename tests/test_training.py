@@ -7,6 +7,8 @@ import io
 import numpy as np
 import pytest
 
+import minibert.model as model_module
+import minibert.training as training_module
 from minibert import tensor as T
 from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.errors import ConfigError, TrainingError
@@ -235,6 +237,20 @@ class TestTrain:
         model.forward = recording_forward
         train(model, train_set, val_set, TrainConfig(epochs=1))
         assert max(widths) < config.max_seq_len
+
+    def test_each_set_is_stacked_once_per_call(self, separable_setup, monkeypatch):
+        config, train_set, val_set = separable_setup
+        stacked = []
+        stack = model_module.stack_examples
+
+        def recording_stack(examples):
+            stacked.append(len(examples))
+            return stack(examples)
+
+        monkeypatch.setattr(model_module, "stack_examples", recording_stack)
+        monkeypatch.setattr(training_module, "stack_examples", recording_stack)
+        train(init_model(config), train_set, val_set, TrainConfig(epochs=3))
+        assert stacked == [len(train_set), len(val_set)]
 
     def test_accuracy_helper(self, separable_setup):
         config, train_set, val_set = separable_setup
