@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment config end to end")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("config", help="path to the experiment JSON config")
     run.add_argument("--output-dir", help="override the config's output directory")
     run.add_argument(
@@ -47,11 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV corpus")
+    ev.set_defaults(handler=_cmd_eval)
     ev.add_argument("checkpoint", help="checkpoint directory (model or ensemble)")
     ev.add_argument("corpus", help="CSV corpus with a text,label header")
     ev.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     me = sub.add_parser("metrics", help="metrics from raw binary confusion counts")
+    me.set_defaults(handler=_cmd_metrics)
     me.add_argument("tn", type=int)
     me.add_argument("fp", type=int)
     me.add_argument("fn", type=int)
@@ -59,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("--minutes", type=float, help="also print accuracy per minute")
 
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic corpus CSV")
+    gen.set_defaults(handler=_cmd_gen_synthetic)
     gen.add_argument("spec", help="JSON file describing the synthetic corpus")
     gen.add_argument("out", help="output CSV path")
 
@@ -66,26 +71,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place that prints ``error:`` and picks
+    the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "gen-synthetic":
-            return _cmd_gen_synthetic(args)
+        args.handler(args)
     except (ConfigError, CorpusError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (CheckpointError, OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    raise AssertionError("unreachable")
+    return EXIT_OK
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     config = load_experiment_config(args.config)
     if args.output_dir:
         config.output_dir = args.output_dir
@@ -102,20 +102,17 @@ def _cmd_run(args) -> int:
             f"  {variant.name}: accuracy={variant.evaluation.metrics.accuracy:.4f} "
             f"minutes={variant.timing.training_minutes:.2f}"
         )
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     checkpoint = Path(args.checkpoint)
     corpus = load_csv(args.corpus)
     predictor, vocab, config = load_checkpoint(checkpoint)
     if corpus.num_classes > config.num_classes:
-        print(
-            f"error: corpus has {corpus.num_classes} classes but the checkpoint "
-            f"was trained for {config.num_classes}",
-            file=sys.stderr,
+        raise CheckpointError(
+            f"corpus has {corpus.num_classes} classes but the checkpoint "
+            f"was trained for {config.num_classes}"
         )
-        return EXIT_RUNTIME
     examples = [
         encode(text, vocab, config.max_seq_len, label) for text, label in corpus.records
     ]
@@ -133,7 +130,7 @@ def _cmd_eval(args) -> int:
 
     if args.json:
         print(json.dumps(payload, sort_keys=True))
-        return EXIT_OK
+        return
 
     print(f"checkpoint: {checkpoint}")
     print(f"corpus:     {args.corpus} ({len(corpus)} examples)")
@@ -143,26 +140,24 @@ def _cmd_eval(args) -> int:
         joined = ", ".join(f"{a:.4f}" for a in payload["member_accuracies"])
         print(f"  member accuracies: {joined}")
         print(f"  disagreements:     {payload['disagreement_count']}")
-    return EXIT_OK
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> None:
+    """Every argument is checked before the first line is printed."""
     counts = (args.tn, args.fp, args.fn, args.tp)
     if any(c < 0 for c in counts):
-        print("error: confusion counts must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("confusion counts must be nonnegative")
     if all(c == 0 for c in counts):
-        print("error: confusion counts must not all be zero", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("confusion counts must not all be zero")
+    if args.minutes is not None and args.minutes <= 0:
+        raise ConfigError("--minutes must be positive")
+    if args.minutes is not None and not math.isfinite(args.minutes):
+        raise ConfigError(f"--minutes must be finite, got {args.minutes}")
     report = metrics(ConfusionMatrix.from_binary(*counts))
     _print_metrics(report)
     if args.minutes is not None:
-        if args.minutes <= 0:
-            print("error: --minutes must be positive", file=sys.stderr)
-            return EXIT_USAGE
         apm = accuracy_per_minute(report.accuracy, args.minutes)
         print(f"accuracy_per_minute {round_half_up(apm, 4):.4f}")
-    return EXIT_OK
 
 
 def _print_metrics(report, indent: str = "") -> None:
@@ -171,12 +166,11 @@ def _print_metrics(report, indent: str = "") -> None:
         print(f"{indent}{name:<9} {round_half_up(report.value(name), 4):.4f}{flag}")
 
 
-def _cmd_gen_synthetic(args) -> int:
+def _cmd_gen_synthetic(args) -> None:
     spec = parse_synthetic_spec(read_json(args.spec), args.spec)
     corpus = generate_synthetic(spec)
     save_csv(corpus, args.out)
     print(f"wrote {len(corpus)} examples across {corpus.num_classes} classes to {args.out}")
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError, check_types
+from .errors import ConfigError, CorpusError, check_types, within
 
 
 @dataclass
@@ -100,7 +101,7 @@ class SyntheticSpec:
     class_token_pools: list[list[str]]
     shared_pool: list[str] = field(default_factory=list)
     tokens_per_text: tuple[int, int] = (5, 12)
-    noise_rate: float = 0.0
+    noise_rate: Annotated[float, within("[0, 1)")] = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -122,8 +123,6 @@ class SyntheticSpec:
             total += len(pool)
         if len(union) != total:
             raise ConfigError("class token pools must be pairwise disjoint")
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise ConfigError(f"noise_rate must lie in [0, 1), got {self.noise_rate}")
         if self.noise_rate > 0.0 and not self.shared_pool:
             raise ConfigError("noise_rate > 0 requires a nonempty shared pool")
         lo, hi = self.tokens_per_text

@@ -17,11 +17,11 @@ disagreement count and the per-member accuracies all follow from those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TextIO
+from typing import Annotated, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, check_types
+from .errors import ConfigError, TrainingError, at_least, check_types
 from .evaluation import MetricsReport, confusion_matrix, metrics
 from .model import ClassifierModel, ModelConfig, as_stacked, example_labels, init_model
 from .tokenizer import EncodedExample
@@ -37,15 +37,13 @@ class EnsembleConfig:
     """Shape of the ensemble: member count, member model, seeds, voting rule."""
 
     member_model_config: ModelConfig
-    n_members: int = 3
+    n_members: Annotated[int, at_least(1)] = 3
     shared_init: bool = True
     member_shuffle_seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     voting: str = MAJORITY
 
     def __post_init__(self):
         check_types(type(self), vars(self))
-        if self.n_members < 1:
-            raise ConfigError(f"n_members must be >= 1, got {self.n_members}")
         seeds = self.member_shuffle_seeds
         if len(seeds) != self.n_members:
             raise ConfigError(

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import numbers
+import operator
 import types
 import typing
 from pathlib import Path
@@ -31,23 +32,55 @@ class TrainingError(RuntimeError):
 _SEED_KEYS = ("seed", "init_seed", "shuffle_seed", "split_seed", "member_shuffle_seeds")
 _NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 # evaluating the string annotations is slow; owners are a few fixed classes
-_type_hints = functools.cache(typing.get_type_hints)
+_type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+class Range(typing.NamedTuple):
+    """A numeric range declared on a field as ``Annotated[int, at_least(1)]``;
+    ``rule`` completes the message ``<name> must <rule>, got <value>``."""
+
+    rule: str
+    holds: typing.Callable[[float], bool]
+
+
+def at_least(low) -> Range:
+    return Range(f"be >= {low}", lambda value: value >= low)
+
+
+def above(low) -> Range:
+    return Range(f"be > {low}", lambda value: value > low)
+
+
+def within(interval: str) -> Range:
+    """The interval as the message writes it, for example ``"[0, 1)"``."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    over = operator.ge if interval[0] == "[" else operator.gt
+    under = operator.le if interval[-1] == "]" else operator.lt
+    return Range(f"lie in {interval}", lambda value: over(value, low) and under(value, high))
 
 
 def check_types(owner, values: dict) -> None:
     """Reject a value in ``values`` whose type is not the one that ``owner``
     (a dataclass or a function) annotates for its name, naming the key and
-    the value, before range checks compare it.  A bool is not a number, an
-    integer is a valid float, a float must be finite, and a list stands for
-    a tuple (JSON has none).  Every seed must also be >= 0."""
-    hints = _type_hints(owner)
+    the value.  A bool is not a number, an integer is a valid float, a float
+    must be finite, and a list stands for a tuple (JSON has none).  Every
+    seed must also be >= 0.  After every type, each Range declared as
+    ``Annotated`` metadata is checked, in field order."""
+    hints, ranges = _type_hints(owner), []
     for name, value in values.items():
-        if name in hints and not _has_type(value, hints[name]):
-            wanted = _NAMES.get(hints[name]) or owner.__annotations__[name]
+        hint = hints.get(name)
+        if typing.get_origin(hint) is typing.Annotated:
+            hint, bounds = typing.get_args(hint)
+            ranges.append((name, value, bounds))
+        if hint is not None and not _has_type(value, hint):
+            wanted = _NAMES.get(hint) or owner.__annotations__[name]
             raise ConfigError(f"{name} must be {wanted}, got {value!r}")
         seeds = value if isinstance(value, list) else [value]
         if name in _SEED_KEYS and any(seed < 0 for seed in seeds):
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
+    for name, value, bounds in ranges:
+        if not bounds.holds(value):
+            raise ConfigError(f"{name} must {bounds.rule}, got {value}")
 
 
 def _has_type(value, hint) -> bool:

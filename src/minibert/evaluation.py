@@ -9,6 +9,7 @@ round half-up to the shown decimals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -156,6 +157,8 @@ def accuracy_per_minute(accuracy: float, minutes: float) -> float:
     """Prediction quality bought per minute of training."""
     if minutes <= 0:
         raise ValueError(f"minutes must be positive, got {minutes}")
+    if not math.isfinite(minutes):
+        raise ValueError(f"minutes must be finite, got {minutes}")
     return accuracy / minutes
 
 
@@ -223,19 +226,6 @@ class ComparisonReport:
 
     entries: list[tuple[str, MetricsReport, TimingRecord | None]]
     pairs: list[PairGap]
-
-    def as_dict(self) -> dict:
-        return {
-            "runs": [
-                {
-                    "name": name,
-                    "metrics": report.as_dict(),
-                    "timing": timing.as_dict() if timing else None,
-                }
-                for name, report, timing in self.entries
-            ],
-            "pairs": [pair.as_dict() for pair in self.pairs],
-        }
 
     def metrics_markdown(self) -> str:
         lines = []

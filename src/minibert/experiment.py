@@ -14,12 +14,12 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TextIO
+from typing import Annotated, TextIO
 
 from .checkpoint import save_checkpoint
 from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
-from .errors import ConfigError, TrainingError, check_types, read_json, read_section
+from .errors import ConfigError, TrainingError, at_least, check_types, read_json, read_section
 from .evaluation import ComparisonReport, TimingRecord, compare_report
 from .model import ModelConfig, init_model
 from .tokenizer import MIN_SEQ_LEN, NUM_SPECIAL_TOKENS, Vocabulary, build_vocab, encode
@@ -30,16 +30,13 @@ from .training import TrainConfig, TrainRun, split_dataset, train
 class TokenizerConfig:
     """The ``tokenizer`` section."""
 
-    max_vocab: int
-    max_seq_len: int
+    # room for the special tokens; for [CLS], one token and [SEP]
+    max_vocab: Annotated[int, at_least(NUM_SPECIAL_TOKENS)]
+    max_seq_len: Annotated[int, at_least(MIN_SEQ_LEN)]
     min_frequency: int = 1
 
     def __post_init__(self):
         check_types(type(self), vars(self))
-        # room for the special tokens; for [CLS], one token and [SEP]
-        for name, least in (("max_vocab", NUM_SPECIAL_TOKENS), ("max_seq_len", MIN_SEQ_LEN)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -49,14 +46,12 @@ class VariantSpec:
     member model config is a placeholder until the vocabulary is built."""
 
     name: str
-    num_layers: int = 1
+    num_layers: Annotated[int, at_least(1)] = 1
     ensemble: EnsembleConfig | None = None
     gated: bool = False
 
     def __post_init__(self):
         check_types(type(self), vars(self))
-        if self.num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
 
     @property
     def kind(self) -> str:
@@ -180,7 +175,6 @@ class VariantResult:
 class ExperimentResult:
     run_dir: Path
     variants: list[VariantResult]
-    comparison: ComparisonReport
     skipped_gated: list[str]
 
 
@@ -271,9 +265,7 @@ def run_experiment(
     comparison = compare_report([(r.name, r.evaluation.metrics, r.timing) for r in results])
     _write_reports(run_dir, results, comparison, skipped)
     run_dir = run_dir.rename(run_dir.with_suffix(""))
-    return ExperimentResult(
-        run_dir=run_dir, variants=results, comparison=comparison, skipped_gated=skipped
-    )
+    return ExperimentResult(run_dir=run_dir, variants=results, skipped_gated=skipped)
 
 
 def _run_variant(
@@ -332,6 +324,9 @@ def _write_reports(
             **r.timing.as_dict(),
             "per_epoch_seconds": [
                 [e.seconds for e in run.epochs] for run in r.runs
+            ],
+            "per_epoch_validation_seconds": [
+                [e.validation_seconds for e in run.epochs] for run in r.runs
             ],
             "per_run_seconds": [run.total_seconds for run in r.runs],
         }

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, check_types
+from .errors import ConfigError, at_least, check_types, within
 from .tokenizer import (
     MASK_ID,
     NUM_SPECIAL_TOKENS,
@@ -41,37 +42,22 @@ PREDICT_BATCH_SIZE = 64
 class ModelConfig:
     """Hyperparameters defining one classifier's shape and initialization."""
 
-    vocab_size: int
-    hidden_dim: int = 64
-    num_layers: int = 1
-    num_heads: int = 2
-    ff_dim: int = 256
-    max_seq_len: int = 64
-    num_classes: int = 2
+    vocab_size: Annotated[int, at_least(1)]
+    hidden_dim: Annotated[int, at_least(1)] = 64
+    num_layers: Annotated[int, at_least(1)] = 1
+    num_heads: Annotated[int, at_least(1)] = 2
+    ff_dim: Annotated[int, at_least(1)] = 256
+    max_seq_len: Annotated[int, at_least(1)] = 64
+    num_classes: Annotated[int, at_least(2)] = 2
     init_seed: int = 0
-    init_scale: float = 0.02
+    init_scale: Annotated[float, at_least(0)] = 0.02
 
     def __post_init__(self):
         check_types(type(self), vars(self))
-        counts = {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ff_dim": self.ff_dim,
-            "max_seq_len": self.max_seq_len,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.hidden_dim % self.num_heads:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
-        if self.init_scale < 0:
-            raise ConfigError(f"init_scale must be >= 0, got {self.init_scale}")
 
     @property
     def head_dim(self) -> int:
@@ -360,15 +346,14 @@ class MaskingPolicy:
     replace with [MASK] 80% of the time, a random content id 10%, and
     keep the original 10%."""
 
-    select_rate: float = 0.15
+    # the closed interval admits the degenerate all-or-nothing policies
+    select_rate: Annotated[float, within("[0, 1]")] = 0.15
     mask_rate: float = 0.80
     random_rate: float = 0.10
     keep_rate: float = 0.10
 
     def __post_init__(self):
-        # the closed interval admits the degenerate all-or-nothing policies
-        if not 0.0 <= self.select_rate <= 1.0:
-            raise ConfigError(f"select_rate must lie in [0, 1], got {self.select_rate}")
+        check_types(type(self), vars(self))
         total = self.mask_rate + self.random_rate + self.keep_rate
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"mask/random/keep rates must sum to 1, got {total}")

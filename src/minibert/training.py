@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Annotated, Sequence, TextIO
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, TrainingError, check_types
+from .errors import ConfigError, TrainingError, above, at_least, check_types, within
 from .model import (
     ClassifierModel,
     StackedExamples,
@@ -31,29 +31,18 @@ from .tokenizer import EncodedExample
 class TrainConfig:
     """Fine-tuning hyperparameters; three epochs is the experiment default."""
 
-    epochs: int = 3
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
+    epochs: Annotated[int, at_least(1)] = 3
+    batch_size: Annotated[int, at_least(1)] = 16
+    learning_rate: Annotated[float, above(0)] = 1e-3
+    adam_beta1: Annotated[float, within("[0, 1)")] = 0.9
+    adam_beta2: Annotated[float, within("[0, 1)")] = 0.999
+    adam_epsilon: Annotated[float, above(0)] = 1e-8
     shuffle_seed: int = 0
-    split_ratio: float = 0.8
+    split_ratio: Annotated[float, within("(0, 1)")] = 0.8
     split_seed: int = 0
 
     def __post_init__(self):
         check_types(type(self), vars(self))
-        for name, holds, rule in (
-            ("epochs", self.epochs >= 1, "be >= 1"),
-            ("batch_size", self.batch_size >= 1, "be >= 1"),
-            ("split_ratio", 0.0 < self.split_ratio < 1.0, "lie in (0, 1)"),
-            ("learning_rate", self.learning_rate > 0, "be > 0"),
-            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "lie in [0, 1)"),
-            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "lie in [0, 1)"),
-            ("adam_epsilon", self.adam_epsilon > 0, "be > 0"),
-        ):
-            if not holds:
-                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -61,6 +50,7 @@ class EpochStats:
     mean_loss: float
     val_accuracy: float
     seconds: float
+    validation_seconds: float  # the part of ``seconds`` spent on val_accuracy
 
 
 @dataclass
@@ -79,16 +69,19 @@ class TrainRun:
 def split_dataset(examples: Sequence, split_ratio: float, split_seed: int):
     """Seeded random split; the first ceil(N * ratio) of the permutation train.
 
-    The two parts are disjoint and exhaustive.
+    The two parts are disjoint, exhaustive and nonempty, or a ConfigError.
     """
     n = len(examples)
     if n < 2:
-        raise ValueError(f"need at least 2 examples to split, got {n}")
+        raise ConfigError(f"need at least 2 examples to split, got {n}")
     if not 0.0 < split_ratio < 1.0:
         raise ConfigError(f"split_ratio must lie in (0, 1), got {split_ratio}")
     order = np.random.default_rng(split_seed).permutation(n)
     # tiny guard keeps exact products like 10 * 0.8 from ceiling up on float fuzz
     n_train = math.ceil(n * split_ratio - 1e-9)
+    if not 0 < n_train < n:
+        part = "validation" if n_train else "training"
+        raise ConfigError(f"split_ratio {split_ratio} of {n} examples leaves the {part} set empty")
     train = [examples[i] for i in order[:n_train]]
     val = [examples[i] for i in order[n_train:]]
     return train, val
@@ -225,10 +218,14 @@ def train(
                     f"epoch {epoch + 1}, batch {batch_index}: {err}"
                 ) from err
             loss_total += loss.item() * len(picked)
+        validation_started = time.perf_counter()
+        val_accuracy = accuracy(model, val_inputs)
+        finished = time.perf_counter()
         epoch_stats = EpochStats(
             mean_loss=loss_total / n,
-            val_accuracy=accuracy(model, val_inputs),
-            seconds=time.perf_counter() - epoch_started,
+            val_accuracy=val_accuracy,
+            seconds=finished - epoch_started,
+            validation_seconds=finished - validation_started,
         )
         stats.append(epoch_stats)
         if log_stream is not None:

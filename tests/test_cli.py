@@ -129,6 +129,17 @@ class TestRunCommand:
         for artifact in ("train.csv", "val.csv", "vocab.txt", "train_log.txt"):
             assert (run_dir / artifact).exists()
 
+    def test_timing_records_validation_inside_each_epoch(self, completed_run):
+        _, run_dir = completed_run
+        timing_doc = json.loads((run_dir / "timing.json").read_text())
+        for name in ("ensemble-3x1", "single-3layer"):
+            epochs = timing_doc[name]["per_epoch_seconds"]
+            validation = timing_doc[name]["per_epoch_validation_seconds"]
+            assert [len(run) for run in validation] == [len(run) for run in epochs]
+            for run_epochs, run_validation in zip(epochs, validation):
+                for seconds, validation_seconds in zip(run_epochs, run_validation):
+                    assert 0 <= validation_seconds <= seconds
+
     def test_metrics_entries_keep_their_key_sets(self, completed_run):
         _, run_dir = completed_run
         entries = json.loads((run_dir / "metrics.json").read_text())["variants"]
@@ -351,6 +362,14 @@ class TestConfigRejectedBeforeAnyWork:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         config_path = tiny_config(tmp_path, outptu_dir="elsewhere")
         self.assert_rejected(tmp_path, capsys, config_path, "config", "'outptu_dir'")
+
+    def test_split_leaving_no_validation_examples(self, tmp_path, capsys):
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["corpus"]["synthetic"]["num_examples"] = 10
+        raw["train"]["split_ratio"] = 0.95
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        self.assert_rejected(tmp_path, capsys, config_path, "split_ratio 0.95", "validation")
 
     def test_corpus_with_more_classes_than_the_model(self, tmp_path, capsys):
         raw = tiny_config_dict(tmp_path / "runs")
@@ -794,6 +813,18 @@ class TestEvalCommand:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
         assert phrase in err
 
+    def test_corpus_with_more_classes_than_the_checkpoint_exits_one(
+        self, completed_run, tmp_path, capsys
+    ):
+        _, run_dir = completed_run
+        corpus_path = tmp_path / "three.csv"
+        corpus_path.write_text("text,label\na,0\nb,1\nc,2\n", encoding="utf-8")
+        code = main(["eval", str(run_dir / "checkpoints" / "single-3layer"), str(corpus_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: corpus has 3 classes but the checkpoint was trained for 2\n"
+
     def test_text_output_lists_metrics(self, completed_run, capsys):
         _, run_dir = completed_run
         code = main(
@@ -828,6 +859,18 @@ class TestMetricsCommand:
     def test_minutes_flag(self, capsys):
         assert main(["metrics", "11858", "150", "565", "11427", "--minutes", "212"]) == 0
         assert "accuracy_per_minute 0.0046" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "minutes, message",
+        [("0", "--minutes must be positive"), ("-inf", "--minutes must be positive"),
+         ("nan", "--minutes must be finite, got nan"),
+         ("inf", "--minutes must be finite, got inf")],
+    )
+    def test_bad_minutes_fail_before_any_output(self, capsys, minutes, message):
+        assert main(["metrics", "11858", "150", "565", "11427", f"--minutes={minutes}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestGenSyntheticCommand:

@@ -151,6 +151,11 @@ class TestTimingEconomics:
         with pytest.raises(ValueError, match="positive"):
             accuracy_per_minute(0.9, 0.0)
 
+    @pytest.mark.parametrize("minutes", [float("nan"), float("inf")])
+    def test_accuracy_per_minute_rejects_non_finite_minutes(self, minutes):
+        with pytest.raises(ValueError, match=f"^minutes must be finite, got {minutes}$"):
+            accuracy_per_minute(0.9, minutes)
+
     def test_relative_overhead_published_value(self):
         assert abs(relative_overhead(212, 190) - 11.58) < 0.01
 
@@ -216,12 +221,6 @@ class TestCompareReport:
         assert "| Accuracy | 0.9702 |" in text
         timing_text = report.timing_markdown()
         assert "| ensemble | 212.00 | 0.9702 | 0.0046 |" in timing_text
-
-    def test_as_dict_is_json_ready(self):
-        import json
-        ensemble = _report(0.9, 0.9, 0.9, 0.9)
-        report = compare_report([("only", ensemble, None)])
-        json.dumps(report.as_dict())
 
 
 class TestRounding:

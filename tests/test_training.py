@@ -45,6 +45,22 @@ class TestSplitDataset:
         with pytest.raises(ValueError, match="at least 2"):
             split_dataset([1], 0.5, 0)
 
+    @pytest.mark.parametrize(
+        "n, ratio, message",
+        [(1, 0.5, "need at least 2 examples to split, got 1"),
+         (10, 0.95, "split_ratio 0.95 of 10 examples leaves the validation set empty"),
+         (2, 0.51, "split_ratio 0.51 of 2 examples leaves the validation set empty"),
+         (5, 1e-12, "split_ratio 1e-12 of 5 examples leaves the training set empty")],
+    )
+    def test_an_empty_part_is_a_config_error(self, n, ratio, message):
+        with pytest.raises(ConfigError) as err:
+            split_dataset(list(range(n)), ratio, 0)
+        assert str(err.value) == message
+
+    def test_the_largest_ratio_that_keeps_one_validation_example(self):
+        train_part, val_part = split_dataset(list(range(10)), 0.9, 0)
+        assert (len(train_part), len(val_part)) == (9, 1)
+
 
 class TestShuffleEpoch:
     def test_epochs_give_different_permutations(self):
@@ -170,6 +186,13 @@ class TestTrain:
         assert run.epochs[2].mean_loss < run.epochs[0].mean_loss
         assert len(run.epochs) == 3
         assert run.total_seconds > 0
+
+    def test_validation_seconds_lie_inside_each_epoch(self, separable_setup):
+        config, train_set, val_set = separable_setup
+        run = train(init_model(config), train_set, val_set, TrainConfig(epochs=2))
+        for epoch in run.epochs:
+            assert 0 <= epoch.validation_seconds <= epoch.seconds
+        assert sum(epoch.seconds for epoch in run.epochs) <= run.total_seconds
 
     def test_bitwise_reproducible(self, separable_setup):
         config, train_set, val_set = separable_setup
