@@ -30,8 +30,15 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``main`` to report; subcommand parsers share it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minibert",
         description="Train, ensemble, and benchmark miniature text classifiers.",
     )
@@ -73,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that prints ``error:`` and picks
     the exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
     except (ConfigError, CorpusError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, OSError, RuntimeError, ValueError) as err:
+    except Exception as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -98,10 +105,9 @@ def _cmd_run(args) -> None:
         print(f"skipped gated variant {skipped!r} (enable with --gated)")
     print(f"run artifacts written to {result.run_dir}")
     for variant in result.variants:
-        print(
-            f"  {variant.name}: accuracy={variant.evaluation.metrics.accuracy:.4f} "
-            f"minutes={variant.timing.training_minutes:.2f}"
-        )
+        accuracy = round_half_up(variant.evaluation.metrics.accuracy, 4)
+        minutes = round_half_up(variant.timing.training_minutes, 2)
+        print(f"  {variant.name}: accuracy={accuracy:.4f} minutes={minutes:.2f}")
 
 
 def _cmd_eval(args) -> None:
@@ -137,26 +143,21 @@ def _cmd_eval(args) -> None:
     _print_metrics(report, indent="  ")
     print(f"  confusion {report.confusion.counts.tolist()}")
     if "member_accuracies" in payload:
-        joined = ", ".join(f"{a:.4f}" for a in payload["member_accuracies"])
+        joined = ", ".join(f"{round_half_up(a, 4):.4f}" for a in payload["member_accuracies"])
         print(f"  member accuracies: {joined}")
         print(f"  disagreements:     {payload['disagreement_count']}")
 
 
 def _cmd_metrics(args) -> None:
-    """Every argument is checked before the first line is printed."""
-    counts = (args.tn, args.fp, args.fn, args.tp)
-    if any(c < 0 for c in counts):
-        raise ConfigError("confusion counts must be nonnegative")
-    if all(c == 0 for c in counts):
-        raise ConfigError("confusion counts must not all be zero")
+    """Everything is computed, so every argument checked, before any output."""
+    report = metrics(ConfusionMatrix.from_binary(args.tn, args.fp, args.fn, args.tp))
     if args.minutes is not None and args.minutes <= 0:
         raise ConfigError("--minutes must be positive")
     if args.minutes is not None and not math.isfinite(args.minutes):
         raise ConfigError(f"--minutes must be finite, got {args.minutes}")
-    report = metrics(ConfusionMatrix.from_binary(*counts))
+    apm = None if args.minutes is None else accuracy_per_minute(report.accuracy, args.minutes)
     _print_metrics(report)
-    if args.minutes is not None:
-        apm = accuracy_per_minute(report.accuracy, args.minutes)
+    if apm is not None:
         print(f"accuracy_per_minute {round_half_up(apm, 4):.4f}")
 
 

@@ -61,17 +61,6 @@ class EnsemblePrediction:
     member_labels: np.ndarray = field(repr=False)  # (N, B)
     disagreement_count: int = 0
 
-    def member_accuracies(self, labels) -> list[float]:
-        """Each member's accuracy against ``labels``, from its stored votes."""
-        labels = np.asarray(labels)
-        if not labels.size:
-            raise ValueError("cannot evaluate accuracy on an empty set")
-        if labels.shape != self.labels.shape:
-            raise ValueError(
-                f"expected {self.labels.shape[0]} labels, got shape {labels.shape}"
-            )
-        return [float(np.mean(row == labels)) for row in self.member_labels]
-
 
 class EnsembleModel:
     """N trained members plus the configured voting rule."""
@@ -194,14 +183,19 @@ class Evaluation:
 def evaluate(
     predictor: ClassifierModel | EnsembleModel, examples: list[EncodedExample]
 ) -> Evaluation:
-    """Predict ``examples`` once with a model or an ensemble and score the labels."""
+    """Predict ``examples`` once with a model or an ensemble and score the
+    labels, and an ensemble's member labels the same way."""
     labels = example_labels(examples)
     if isinstance(predictor, EnsembleModel):
         prediction = predictor.predict(examples)
         num_classes = predictor.config.member_model_config.num_classes
+        voted, *members = (
+            metrics(confusion_matrix(predicted, labels, num_classes))
+            for predicted in (prediction.labels, *prediction.member_labels)
+        )
         return Evaluation(
-            metrics(confusion_matrix(prediction.labels, labels, num_classes)),
-            member_accuracies=prediction.member_accuracies(labels),
+            voted,
+            member_accuracies=[member.accuracy for member in members],
             disagreement_count=prediction.disagreement_count,
         )
     predicted = predictor.predict(examples)

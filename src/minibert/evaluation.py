@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
+
+from .errors import ConfigError
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
@@ -25,12 +27,14 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)  # an int past int64 makes it dtype object
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"confusion counts must be square, got shape {counts.shape}")
         if counts.min() < 0:
-            raise ValueError("confusion counts must be nonnegative")
-        self.counts = counts
+            raise ConfigError("confusion counts must be nonnegative")
+        if counts.sum(dtype=object) > np.iinfo(np.int64).max:  # bounds every later sum
+            raise ConfigError("confusion counts must total at most 2**63 - 1")
+        self.counts = counts.astype(np.int64, copy=False)
 
     @property
     def num_classes(self) -> int:
@@ -65,7 +69,7 @@ class ConfusionMatrix:
 
     @classmethod
     def from_binary(cls, tn: int, fp: int, fn: int, tp: int) -> "ConfusionMatrix":
-        return cls(np.array([[tn, fp], [fn, tp]], dtype=np.int64))
+        return cls([[tn, fp], [fn, tp]])
 
 
 def confusion_matrix(predicted, actual, num_classes: int) -> ConfusionMatrix:
@@ -131,7 +135,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     Binary flags keep ``METRIC_NAMES`` order; larger matrices sort them.
     """
     if cm.total == 0:
-        raise ValueError("cannot compute metrics for an empty confusion matrix")
+        raise ConfigError("cannot compute metrics for an empty confusion matrix")
     counts = cm.counts
     scores: dict[str, list[float]] = {"precision": [], "recall": [], "f1": []}
     undefined: set[str] = set()
@@ -156,9 +160,11 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 def accuracy_per_minute(accuracy: float, minutes: float) -> float:
     """Prediction quality bought per minute of training."""
     if minutes <= 0:
-        raise ValueError(f"minutes must be positive, got {minutes}")
+        raise ConfigError(f"minutes must be positive, got {minutes}")
     if not math.isfinite(minutes):
-        raise ValueError(f"minutes must be finite, got {minutes}")
+        raise ConfigError(f"minutes must be finite, got {minutes}")
+    if not math.isfinite(accuracy / minutes):
+        raise ConfigError(f"accuracy per minute must be finite, got {accuracy} / {minutes}")
     return accuracy / minutes
 
 
@@ -170,9 +176,11 @@ def relative_overhead(time_a: float, time_b: float) -> float:
 
 
 def round_half_up(value: float, decimals: int) -> float:
-    """Decimal rounding with ties away from zero, for displayed values."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    """Decimal rounding with ties away from zero, for displayed values;
+    the context holds every kept digit of any finite float."""
+    exact = Decimal(repr(value))
+    digits = Context(prec=max(exact.adjusted(), 0) + decimals + 2)
+    return float(exact.quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP, digits))
 
 
 @dataclass
@@ -184,10 +192,7 @@ class TimingRecord:
     accuracy: float
 
     def __post_init__(self):
-        if self.training_minutes <= 0:
-            raise ValueError(
-                f"training_minutes must be positive, got {self.training_minutes}"
-            )
+        accuracy_per_minute(self.accuracy, self.training_minutes)
 
     @property
     def accuracy_per_minute(self) -> float:

@@ -33,7 +33,7 @@ class TokenizerConfig:
     # room for the special tokens; for [CLS], one token and [SEP]
     max_vocab: Annotated[int, at_least(NUM_SPECIAL_TOKENS)]
     max_seq_len: Annotated[int, at_least(MIN_SEQ_LEN)]
-    min_frequency: int = 1
+    min_frequency: Annotated[int, at_least(1)] = 1
 
     def __post_init__(self):
         check_types(type(self), vars(self))

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import minibert.cli as cli_module
 from minibert.checkpoint import load_ensemble
 from minibert.cli import main
 from minibert.corpus import generate_synthetic, load_csv
+from minibert.ensemble import Evaluation
 from minibert.errors import ConfigError
+from minibert.evaluation import ConfusionMatrix, metrics
 from minibert.experiment import (
     load_experiment_config,
     parse_experiment_config,
@@ -209,10 +212,11 @@ class TestRunCommand:
 
     def test_parallel_members_flag_is_gone(self, tmp_path, capsys):
         config_path = tiny_config(tmp_path)
-        with pytest.raises(SystemExit) as exited:
-            main(["run", str(config_path), "--quiet", "--parallel-members"])
-        assert exited.value.code == 2
-        assert "--parallel-members" in capsys.readouterr().err
+        assert main(["run", str(config_path), "--quiet", "--parallel-members"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--parallel-members" in err
         assert not list((tmp_path / "runs").glob("run-*"))
 
     def test_output_dir_flag_overrides_config(self, tmp_path):
@@ -414,6 +418,8 @@ class TestConfigRejectedBeforeAnyWork:
             ("tokenizer", "max_vocab", 3),
             ("tokenizer", "max_vocab", "100"),
             ("tokenizer", "min_frequency", "2"),
+            ("tokenizer", "min_frequency", 0),
+            ("tokenizer", "min_frequency", -3),
             ("model", "max_seq_len", 16),
             ("model", "vocab_size", 7),
             ("corpus.synthetic", "noise_rate", "0.1"),
@@ -871,6 +877,69 @@ class TestMetricsCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestFailurePath:
+    """``main`` reports every failure, argparse's included, as one
+    ``error:`` line: exit 2 for usage and config errors, 1 for the rest."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "1", "2", "3", "x"],
+            ["metrics", "1", "2", "3", "4", "--minutes", "-inf"],
+            ["run", "{config}", "--parallel-members"],
+            [],
+            ["metrics", "99999999999999999999", "2", "3", "4"],
+            ["metrics", "1", "2", "3", "4", "--minutes", "1e-320"],
+        ],
+        ids=["non-integer count", "dash value", "unknown flag", "no command",
+             "count past int64", "ratio overflows"],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv):
+        config_path = tiny_config(tmp_path)
+        assert main([arg.format(config=config_path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list((tmp_path / "runs").glob("run-*"))
+
+    def test_tiny_minutes_print_a_large_ratio(self, capsys):
+        assert main(["metrics", "1", "2", "3", "4", "--minutes", "1e-25"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == f"accuracy_per_minute {0.5 / 1e-25:.4f}"
+
+    def test_error_from_outside_the_package_exits_one(self, capsys, monkeypatch):
+        def raising(args):
+            raise KeyError("tp")
+
+        monkeypatch.setattr(cli_module, "_cmd_metrics", raising)
+        assert main(["metrics", "1", "2", "3", "4"]) == 1
+        assert capsys.readouterr() == ("", "error: 'tp'\n")
+
+
+class TestDisplayRounding:
+    """Printed values round ties away from zero as report.md does, not to
+    even as ``:.4f`` and ``:.2f`` would (0.0037 and 0.12)."""
+
+    def test_run_summary(self, tmp_path, capsys, monkeypatch):
+        variant = types.SimpleNamespace(
+            name="v",
+            evaluation=types.SimpleNamespace(metrics=types.SimpleNamespace(accuracy=0.00375)),
+            timing=types.SimpleNamespace(training_minutes=0.125),
+        )
+        result = types.SimpleNamespace(skipped_gated=[], run_dir="runs/x", variants=[variant])
+        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: result)
+        assert main(["run", str(tiny_config(tmp_path)), "--quiet"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "  v: accuracy=0.0038 minutes=0.13"
+
+    def test_eval_member_accuracies(self, completed_run, capsys, monkeypatch):
+        _, run_dir = completed_run
+        report = metrics(ConfusionMatrix.from_binary(1, 0, 0, 1))
+        monkeypatch.setattr(cli_module, "evaluate", lambda *args: Evaluation(report, [0.00375], 1))
+        checkpoint = run_dir / "checkpoints" / "ensemble-3x1"
+        assert main(["eval", str(checkpoint), str(run_dir / "val.csv")]) == 0
+        assert "  member accuracies: 0.0038\n" in capsys.readouterr().out
 
 
 class TestGenSyntheticCommand:

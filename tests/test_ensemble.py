@@ -261,8 +261,7 @@ class TestOnePassPrediction:
 
     def test_member_accuracies_match_accuracy(self, ensemble, trained_setup):
         *_, val_set, _ = trained_setup
-        labels = np.array([e.label for e in val_set])
-        reported = ensemble.predict(val_set).member_accuracies(labels)
+        reported = evaluate(ensemble, val_set).member_accuracies
         assert reported == [accuracy(m, val_set) for m in ensemble.members]
 
     def test_examples_are_stacked_once(self, ensemble, trained_setup, monkeypatch):
@@ -279,17 +278,21 @@ class TestOnePassPrediction:
         assert stacked == [len(val_set)]
 
     def test_member_accuracies_reject_mismatched_labels(self):
+        """``evaluate`` scores each member's labels with ``confusion_matrix``,
+        which rejects labels of another length and empty ones."""
         prediction = EnsemblePrediction(
             labels=np.array([0, 1, 0, 1]), member_labels=np.zeros((3, 4), dtype=np.int64)
         )
-        assert prediction.member_accuracies([0, 0, 0, 0]) == [1.0, 1.0, 1.0]
-        with pytest.raises(ValueError, match="expected 4 labels"):
-            prediction.member_accuracies([0, 1, 0])
+        scored = [metrics(confusion_matrix(row, [0, 0, 0, 0], 2)) for row in prediction.member_labels]
+        assert [report.accuracy for report in scored] == [1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="equal-length"):
+            confusion_matrix(prediction.member_labels[0], [0, 1, 0], 2)
         empty = EnsemblePrediction(
             labels=np.array([], dtype=np.int64), member_labels=np.zeros((3, 0), dtype=np.int64)
         )
         with pytest.raises(ValueError, match="empty"):
-            empty.member_accuracies([])
+            confusion_matrix(empty.member_labels[0], [], 2)
+        assert not hasattr(prediction, "member_accuracies")
 
 
 class TestEvaluate:
@@ -318,5 +321,7 @@ class TestEvaluate:
         assert rows == {id(m): len(val_set) for m in members}
         expected = metrics(confusion_matrix(prediction.labels, labels, 2))
         assert evaluation.metrics.as_dict() == expected.as_dict()
-        assert evaluation.member_accuracies == prediction.member_accuracies(labels)
+        assert evaluation.member_accuracies == [
+            float(np.mean(row == labels)) for row in prediction.member_labels
+        ]
         assert evaluation.disagreement_count == prediction.disagreement_count > 0

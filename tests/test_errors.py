@@ -48,6 +48,7 @@ BOUNDS = [
     ((TrainConfig, {}), "split_ratio", 1, BELOW_ONE, "split_ratio must lie in (0, 1), got 1"),
     (TOKENIZER, "max_vocab", 4, 5, "max_vocab must be >= 5, got 4"),
     (TOKENIZER, "max_seq_len", 2, 3, "max_seq_len must be >= 3, got 2"),
+    (TOKENIZER, "min_frequency", 0, 1, "min_frequency must be >= 1, got 0"),
     (ENSEMBLE, "n_members", 0, 1, "n_members must be >= 1, got 0"),
     ((VariantSpec, {"name": "v"}), "num_layers", 0, 1, "num_layers must be >= 1, got 0"),
     (SYNTHETIC, "noise_rate", 1.0, BELOW_ONE, "noise_rate must lie in [0, 1), got 1.0"),
@@ -87,7 +88,7 @@ class TestDeclaredRanges:
                 if dataclasses.is_dataclass(owner) and owner.__module__ == module.__name__:
                     declared |= {(owner, name) for name in declared_ranges(owner)}
         assert {(owner, field) for (owner, _), field, *_ in BOUNDS} == declared
-        assert len(BOUNDS) == 21
+        assert len(BOUNDS) == 22
 
     def test_masking_policy_checks_types(self):
         with pytest.raises(ConfigError, match=r"^select_rate must be a finite number, got '0.5'$"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from minibert.errors import ConfigError
 from minibert.evaluation import (
     METRIC_NAMES,
     ConfusionMatrix,
@@ -74,6 +75,24 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             confusion_matrix([0, 2], [0, 1], num_classes=2)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((-1, 2, 3, 4), "^confusion counts must be nonnegative$"),
+            ((10**20, 2, 3, 4), "^confusion counts must total at most 2\\*\\*63 - 1$"),
+            ((2**62, 2**62, 0, 0), "^confusion counts must total at most 2\\*\\*63 - 1$"),
+        ],
+        ids=["negative", "count past int64", "total past int64"],
+    )
+    def test_counts_must_be_nonnegative_and_fit_int64(self, counts, message):
+        with pytest.raises(ConfigError, match=message):
+            ConfusionMatrix.from_binary(*counts)
+
+    def test_largest_total_is_scored(self):
+        cm = ConfusionMatrix.from_binary(2**62, 2**62 - 1, 0, 0)
+        assert cm.counts.dtype == np.int64 and cm.total == 2**63 - 1
+        assert metrics(cm).accuracy == 0.5
+
     def test_binary_accessors(self):
         cm = ConfusionMatrix.from_binary(**REF)
         assert cm.counts[0, 0] == REF["tn"] and cm.counts[0, 1] == REF["fp"]
@@ -134,6 +153,10 @@ class TestMetrics:
         with pytest.raises(ValueError, match="empty"):
             metrics(ConfusionMatrix(np.zeros((2, 2), dtype=int)))
 
+    def test_empty_matrix_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^cannot compute metrics for an empty"):
+            metrics(ConfusionMatrix.from_binary(0, 0, 0, 0))
+
     def test_macro_average_extension(self):
         cm = confusion_matrix([0, 1, 2, 2, 1], [0, 1, 2, 1, 1], num_classes=3)
         report = metrics(cm)
@@ -155,6 +178,15 @@ class TestTimingEconomics:
     def test_accuracy_per_minute_rejects_non_finite_minutes(self, minutes):
         with pytest.raises(ValueError, match=f"^minutes must be finite, got {minutes}$"):
             accuracy_per_minute(0.9, minutes)
+
+    def test_accuracy_per_minute_rejects_an_overflowing_ratio(self):
+        with pytest.raises(ConfigError, match="^accuracy per minute must be finite"):
+            accuracy_per_minute(0.5, 1e-320)
+
+    @pytest.mark.parametrize("minutes", [float("nan"), float("inf")])
+    def test_timing_record_rejects_non_finite_minutes(self, minutes):
+        with pytest.raises(ConfigError, match=f"^minutes must be finite, got {minutes}$"):
+            TimingRecord("x", minutes, 0.9)
 
     def test_relative_overhead_published_value(self):
         assert abs(relative_overhead(212, 190) - 11.58) < 0.01
@@ -229,3 +261,8 @@ class TestRounding:
         assert round_half_up(0.00115, 4) == 0.0012
         assert round_half_up(2.5, 0) == 3.0
         assert round_half_up(0.970208, 4) == 0.9702
+
+    def test_every_digit_is_kept(self):
+        assert round_half_up(5e299, 4) == 5e299
+        assert round_half_up(1.7976931348623157e308, 4) == 1.7976931348623157e308
+        assert round_half_up(9.99995, 4) == 10.0
