@@ -29,8 +29,7 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, EnsembleModel
 from .errors import CheckpointError, ConfigError, read_section
-from .model import ClassifierModel, ModelConfig, parameter_shapes
-from .tensor import Tensor
+from .model import ClassifierModel, ModelConfig, parameter_count, parameter_shapes
 from .tokenizer import Vocabulary
 
 MODEL_MANIFEST = "manifest.json"
@@ -84,9 +83,7 @@ def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary)
     (directory / MODEL_MANIFEST).unlink(missing_ok=True)
     manifest = _model_manifest(model.config)
     vocab.save(directory / VOCAB_FILE)
-    arrays = [model.params[entry["name"]].data for entry in manifest["params"]]
-    blob = b"".join(array.astype(_PARAM_DTYPE).tobytes() for array in arrays)
-    _write_atomic(directory / PARAMS_FILE, blob)
+    _write_atomic(directory / PARAMS_FILE, model.flat.astype(_PARAM_DTYPE).tobytes())
     _write_atomic(directory / MODEL_MANIFEST, _manifest_bytes(manifest))
     return directory
 
@@ -143,25 +140,19 @@ def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
         )
         _require_saved(manifest, _model_manifest(config), manifest["config"])
 
-    shapes = parameter_shapes(config)
-    sizes = [int(np.prod(shape)) for shape in shapes.values()]
     params_path = directory / PARAMS_FILE
     raw = params_path.read_bytes()
-    size = sum(sizes) * _PARAM_DTYPE.itemsize
+    size = parameter_count(config) * _PARAM_DTYPE.itemsize
     if len(raw) != size:
         raise CheckpointError(f"{params_path}: has {len(raw)} bytes, manifest requires {size}")
-    chunks = np.split(np.frombuffer(raw, dtype=_PARAM_DTYPE), np.cumsum(sizes)[:-1])
-    params = {
-        name: Tensor(chunk.reshape(shape).astype(np.float32), requires_grad=True)
-        for (name, shape), chunk in zip(shapes.items(), chunks)
-    }
+    flat = np.frombuffer(raw, dtype=_PARAM_DTYPE).astype(np.float32)
 
     vocab_path = directory / VOCAB_FILE
     with _defects_of(vocab_path):
         vocab = Vocabulary.load(vocab_path)
     if len(vocab) != config.vocab_size:
         raise CheckpointError(f"{vocab_path}: {len(vocab)} tokens, config has {config.vocab_size}")
-    return ClassifierModel(config, params), vocab
+    return ClassifierModel(config, flat), vocab
 
 
 def save_ensemble(

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint
 from .corpus import load_csv, save_csv, generate_synthetic
 from .ensemble import evaluate
 from .errors import CheckpointError, ConfigError, CorpusError, read_json
-from .evaluation import METRIC_NAMES, ConfusionMatrix, accuracy_per_minute, metrics, round_half_up
+from .evaluation import METRIC_NAMES, ConfusionMatrix, accuracy_per_minute, metrics, rounded
 from .experiment import load_experiment_config, parse_synthetic_spec, run_experiment
 from .tokenizer import encode
 
@@ -105,9 +105,9 @@ def _cmd_run(args) -> None:
         print(f"skipped gated variant {skipped!r} (enable with --gated)")
     print(f"run artifacts written to {result.run_dir}")
     for variant in result.variants:
-        accuracy = round_half_up(variant.evaluation.metrics.accuracy, 4)
-        minutes = round_half_up(variant.timing.training_minutes, 2)
-        print(f"  {variant.name}: accuracy={accuracy:.4f} minutes={minutes:.2f}")
+        accuracy = rounded(variant.evaluation.metrics.accuracy, 4)
+        minutes = rounded(variant.timing.training_minutes, 2)
+        print(f"  {variant.name}: accuracy={accuracy} minutes={minutes}")
 
 
 def _cmd_eval(args) -> None:
@@ -143,7 +143,7 @@ def _cmd_eval(args) -> None:
     _print_metrics(report, indent="  ")
     print(f"  confusion {report.confusion.counts.tolist()}")
     if "member_accuracies" in payload:
-        joined = ", ".join(f"{round_half_up(a, 4):.4f}" for a in payload["member_accuracies"])
+        joined = ", ".join(rounded(a, 4) for a in payload["member_accuracies"])
         print(f"  member accuracies: {joined}")
         print(f"  disagreements:     {payload['disagreement_count']}")
 
@@ -158,13 +158,13 @@ def _cmd_metrics(args) -> None:
     apm = None if args.minutes is None else accuracy_per_minute(report.accuracy, args.minutes)
     _print_metrics(report)
     if apm is not None:
-        print(f"accuracy_per_minute {round_half_up(apm, 4):.4f}")
+        print(f"accuracy_per_minute {rounded(apm, 4)}")
 
 
 def _print_metrics(report, indent: str = "") -> None:
     for name in METRIC_NAMES:
         flag = " (undefined)" if name in report.undefined else ""
-        print(f"{indent}{name:<9} {round_half_up(report.value(name), 4):.4f}{flag}")
+        print(f"{indent}{name:<9} {rounded(report.value(name), 4)}{flag}")
 
 
 def _cmd_gen_synthetic(args) -> None:

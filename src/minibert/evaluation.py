@@ -175,12 +175,19 @@ def relative_overhead(time_a: float, time_b: float) -> float:
     return 100.0 * (time_a - time_b) / time_b
 
 
-def round_half_up(value: float, decimals: int) -> float:
-    """Decimal rounding with ties away from zero, for displayed values;
-    the context holds every kept digit of any finite float."""
+def rounded(value: float, decimals: int, sign: str = "") -> str:
+    """``value`` rounded to ``decimals`` places, ties away from zero, in
+    decimal digits, never a large float's binary expansion; ``sign="+"``
+    marks positive values too.  The context keeps every digit of a float."""
     exact = Decimal(repr(value))
     digits = Context(prec=max(exact.adjusted(), 0) + decimals + 2)
-    return float(exact.quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP, digits))
+    half_up = exact.quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP, digits)
+    return format(half_up, f"{sign}.{decimals}f")
+
+
+def round_half_up(value: float, decimals: int) -> float:
+    """The float nearest to ``rounded(value, decimals)``."""
+    return float(rounded(value, decimals))
 
 
 @dataclass
@@ -243,7 +250,7 @@ class ComparisonReport:
                 flag = " (undefined)" if metric in report.undefined else ""
                 lines.append(
                     f"| {metric.capitalize()} | "
-                    f"{round_half_up(report.value(metric), 4):.4f}{flag} |"
+                    f"{rounded(report.value(metric), 4)}{flag} |"
                 )
             lines.append("")
             if report.confusion.num_classes == 2:
@@ -261,7 +268,7 @@ class ComparisonReport:
                 cells = []
                 for metric in METRIC_NAMES:
                     gap = pair.gaps_percent[metric]
-                    cells.append("n/a" if gap is None else f"{round_half_up(gap, 2):+.2f}%")
+                    cells.append("n/a" if gap is None else f"{rounded(gap, 2, sign='+')}%")
                 lines.append(
                     f"| {pair.name_a} | {pair.name_b} | "
                     + " | ".join(cells)
@@ -279,9 +286,9 @@ class ComparisonReport:
             if timing is None:
                 continue
             lines.append(
-                f"| {name} | {round_half_up(timing.training_minutes, 2):.2f} | "
-                f"{round_half_up(timing.accuracy, 4):.4f} | "
-                f"{round_half_up(timing.accuracy_per_minute, 4):.4f} |"
+                f"| {name} | {rounded(timing.training_minutes, 2)} | "
+                f"{rounded(timing.accuracy, 4)} | "
+                f"{rounded(timing.accuracy_per_minute, 4)} |"
             )
         lines.append("")
         return "\n".join(lines)

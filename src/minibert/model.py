@@ -106,44 +106,50 @@ def init_model(config: ModelConfig, dtype=np.float32) -> "ClassifierModel":
     layer-norm gains one.  The same config and seed reproduce the model
     bit for bit."""
     rng = np.random.default_rng(config.init_seed)
-    params: dict[str, T.Tensor] = {}
-    for name, shape in parameter_shapes(config).items():
+    model = ClassifierModel(config, np.zeros(parameter_count(config), dtype=dtype))
+    for name, p in model.params.items():
         if name.endswith("_g"):
-            data = np.ones(shape, dtype=dtype)
-        elif name.endswith("_b"):
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = rng.normal(0.0, config.init_scale, size=shape).astype(dtype)
-        params[name] = T.Tensor(data, requires_grad=True)
-    return ClassifierModel(config, params)
+            p.data[...] = 1.0
+        elif not name.endswith("_b"):
+            p.data[...] = rng.normal(0.0, config.init_scale, size=p.shape)
+    return model
 
 
 class ClassifierModel:
-    """One trained or trainable classifier: embeddings, encoder stack, head."""
+    """One trained or trainable classifier: embeddings, encoder stack, head.
 
-    def __init__(self, config: ModelConfig, params: dict[str, T.Tensor]):
-        expected = parameter_shapes(config)
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params))
-            extra = sorted(set(params) - set(expected))
-            raise ConfigError(f"parameter names mismatch: missing {missing}, extra {extra}")
-        for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ConfigError(
-                    f"parameter {name} has shape {params[name].shape}, expected {shape}"
-                )
+    Each ``params[name].data`` is a view into one 1-D array, ``flat``, in
+    ``parameter_shapes`` order; ``flat_grad`` gathers gradients in that layout.
+    """
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        count = parameter_count(config)
+        # any other dtype would make each Tensor a float32 copy, not a view
+        if flat.shape != (count,) or flat.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"flat is {flat.dtype} {flat.shape}, expected float ({count},)")
         self.config = config
-        self.params = params
+        self.flat = flat
+        self.params: dict[str, T.Tensor] = {}
+        end = 0
+        for name, shape in parameter_shapes(config).items():
+            start, end = end, end + math.prod(shape)
+            self.params[name] = T.Tensor(flat[start:end].reshape(shape), requires_grad=True)
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self.params.items())
 
-    def parameters(self) -> list[T.Tensor]:
-        return list(self.params.values())
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+    def flat_grad(self) -> np.ndarray:
+        """Every gradient in ``flat``'s layout; an unset one counts as zero."""
+        return np.concatenate(
+            [
+                np.zeros(p.size, p.dtype) if p.grad is None else p.grad.ravel()
+                for p in self.params.values()
+            ]
+        )
 
     # -- forward pieces --------------------------------------------------
 

@@ -94,65 +94,59 @@ def shuffle_epoch(items: Sequence, shuffle_seed: int, epoch_index: int) -> list:
 
 
 class Adam:
-    """Adam with bias correction; one timestep increment per step() call.
+    """Adam with bias correction over one flat parameter array, such as
+    ``ClassifierModel.flat``; one timestep increment per step() call.
 
-    Moment buffers live in the parameters' dtype.  An unset grad counts as
-    zero.  A zero gradient leaves a parameter unchanged only while its
-    first moment is still zero; after a nonzero gradient the decaying
-    momentum keeps moving it.
+    The two moment arrays have ``data``'s shape and dtype.  A zero
+    gradient leaves a parameter unchanged only while its first moment is
+    still zero; after a nonzero gradient the decaying momentum keeps
+    moving it.
 
-    The update overwrites moments and parameter data in place, one
-    parameter at a time with two scratch arrays, in the operation order
-    of the plain expressions, so the result is bit for bit theirs.
+    The update overwrites moments and ``data`` in place, with two scratch
+    arrays, in the operation order of the plain expressions, so the
+    result is bit for bit theirs.
     """
 
     def __init__(
         self,
-        params: list[T.Tensor],
+        data: np.ndarray,
         learning_rate: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ):
-        self.params = params
+        self.data = data
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.timestep = 0
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
+        self._m = np.zeros_like(data)
+        self._v = np.zeros_like(data)
 
-    def step(self) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.timestep += 1
         t = self.timestep
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for p, m, v in zip(self.params, self._m, self._v):
-            grad = p.grad
-            if grad is None:
-                grad = np.zeros_like(p.data)
-            # m = beta1 * m + (1 - beta1) * grad
-            scratch = np.multiply(grad, 1.0 - self.beta1, out=np.empty_like(grad))
-            m *= self.beta1
-            m += scratch
-            # v = beta2 * v + (1 - beta2) * grad * grad
-            np.multiply(grad, 1.0 - self.beta2, out=scratch)
-            scratch *= grad
-            v *= self.beta2
-            v += scratch
-            # p = p - learning_rate * (m / bias1) / (sqrt(v / bias2) + epsilon)
-            step = np.divide(m, bias1, out=scratch)
-            denom = np.divide(v, bias2, out=np.empty_like(v))
-            np.sqrt(denom, out=denom)
-            denom += self.epsilon
-            step *= self.learning_rate
-            step /= denom
-            p.data -= step
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        m, v = self._m, self._v
+        # m = beta1 * m + (1 - beta1) * grad
+        scratch = np.multiply(grad, 1.0 - self.beta1, out=np.empty_like(grad))
+        m *= self.beta1
+        m += scratch
+        # v = beta2 * v + (1 - beta2) * grad * grad
+        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        scratch *= grad
+        v *= self.beta2
+        v += scratch
+        # data = data - learning_rate * (m / bias1) / (sqrt(v / bias2) + epsilon)
+        step = np.divide(m, bias1, out=scratch)
+        denom = np.divide(v, bias2, out=np.empty_like(v))
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        step *= self.learning_rate
+        step /= denom
+        self.data -= step
 
 
 def accuracy(model: ClassifierModel, examples: list[EncodedExample] | StackedExamples) -> float:
@@ -186,7 +180,7 @@ def train(
         raise ValueError("train() requires nonempty train and validation sets")
     started = time.perf_counter()
     optimizer = Adam(
-        model.parameters(),
+        model.flat,
         learning_rate=config.learning_rate,
         beta1=config.adam_beta1,
         beta2=config.adam_beta2,
@@ -210,9 +204,9 @@ def train(
                     loss = T.cross_entropy(logits, labels[picked])
                     if not np.isfinite(loss.data):
                         raise TrainingError(f"loss is {loss.item()}, training diverged")
-                    optimizer.zero_grad()
+                    model.zero_grad()
                     loss.backward()
-                    optimizer.step()
+                    optimizer.step(model.flat_grad())
             except Exception as err:
                 raise TrainingError(
                     f"epoch {epoch + 1}, batch {batch_index}: {err}"

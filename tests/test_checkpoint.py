@@ -89,6 +89,16 @@ class TestModelCheckpoint:
         stored = np.frombuffer(raw[: 4 * count], dtype="<f4").reshape(first_entry["shape"])
         assert np.array_equal(stored, model.params[first_entry["name"]].data)
 
+    def test_params_file_is_the_flat_array_and_loads_back_bit_for_bit(self, tmp_path, setup):
+        vocab, config, model = setup
+        model.flat[:] = np.random.default_rng(4).standard_normal(model.flat.size)
+        save_model(model, tmp_path / "ckpt", vocab)
+        assert (tmp_path / "ckpt" / "params.bin").read_bytes() == model.flat.astype("<f4").tobytes()
+        loaded, _ = load_model(tmp_path / "ckpt")
+        assert loaded.flat.dtype == np.float32 and np.array_equal(loaded.flat, model.flat)
+        # training updates a loaded model's parameters in place
+        assert loaded.flat.flags.writeable
+
     def test_truncated_params_rejected(self, tmp_path, setup):
         vocab, config, model = setup
         save_model(model, tmp_path / "ckpt", vocab)

@@ -907,7 +907,8 @@ class TestFailurePath:
     def test_tiny_minutes_print_a_large_ratio(self, capsys):
         assert main(["metrics", "1", "2", "3", "4", "--minutes", "1e-25"]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[-1] == f"accuracy_per_minute {0.5 / 1e-25:.4f}"
+        # the rounded digits, not the float's binary expansion 4999999999999999379243008
+        assert out.splitlines()[-1] == "accuracy_per_minute 4999999999999999000000000.0000"
 
     def test_error_from_outside_the_package_exits_one(self, capsys, monkeypatch):
         def raising(args):

@@ -22,6 +22,7 @@ from minibert.evaluation import (
     metrics,
     relative_overhead,
     round_half_up,
+    rounded,
 )
 from _oracles import _binary_metrics, _macro_metrics, brute_force_confusion
 
@@ -266,3 +267,16 @@ class TestRounding:
         assert round_half_up(5e299, 4) == 5e299
         assert round_half_up(1.7976931348623157e308, 4) == 1.7976931348623157e308
         assert round_half_up(9.99995, 4) == 10.0
+
+    def test_large_values_print_their_rounded_digits(self):
+        assert rounded(0.5 / 1e-25, 4) == "4999999999999999000000000.0000"
+        assert rounded(-5e299, 2) == "-5" + "0" * 299 + ".00"
+        assert rounded(1e20 / 3, 2, sign="+") == "+33333333333333330000.00"
+
+    @given(
+        st.floats(-1e6, 1e6), st.sampled_from([0, 2, 4]), st.sampled_from(["", "+"])
+    )
+    def test_ordinary_values_print_as_the_rounded_float_did(self, value, decimals, sign):
+        # report.md stays byte for byte what formatting round_half_up's float wrote
+        expected = format(round_half_up(value, decimals), f"{sign}.{decimals}f")
+        assert rounded(value, decimals, sign) == expected

@@ -15,6 +15,7 @@ from minibert import tensor as T
 from minibert.errors import ConfigError
 from minibert.model import (
     ATTENTION_MASK_BIAS,
+    ClassifierModel,
     MaskedBatch,
     MaskingPolicy,
     ModelConfig,
@@ -22,6 +23,7 @@ from minibert.model import (
     init_model,
     mlm_pretrain_loss,
     parameter_count,
+    parameter_shapes,
     stack_examples,
     trim_padding,
 )
@@ -75,7 +77,7 @@ class TestInit:
         expected = word + seg + pos + attention + layer_norms + feed_forward + head
         assert parameter_count(TINY) == expected
         model = init_model(TINY)
-        assert sum(p.size for p in model.parameters()) == expected
+        assert sum(p.size for _, p in model.named_parameters()) == expected
 
     def test_zero_scale_gives_zero_weights(self):
         model = init_model(dataclasses.replace(TINY, init_seed=1, init_scale=0.0))
@@ -100,6 +102,68 @@ class TestInit:
             ModelConfig(vocab_size=10, num_classes=1)
         with pytest.raises(ConfigError, match="num_layers"):
             ModelConfig(vocab_size=10, num_layers=0)
+
+
+class TestFlatLayout:
+    def test_every_parameter_is_a_view_tiling_flat_in_shape_order(self):
+        model = init_model(TINY)
+        model.flat[:] = np.arange(model.flat.size)
+        offset = 0
+        for (name, shape), (seen, p) in zip(
+            parameter_shapes(TINY).items(), model.named_parameters()
+        ):
+            size = math.prod(shape)
+            assert seen == name and p.shape == shape
+            assert np.shares_memory(p.data, model.flat), name
+            assert np.array_equal(p.data.ravel(), np.arange(offset, offset + size)), name
+            offset += size
+        assert offset == model.flat.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_draws_each_weight_in_shape_order(self, dtype):
+        rng = np.random.default_rng(TINY.init_seed)
+        model = init_model(TINY, dtype)
+        assert model.flat.dtype == dtype
+        for name, shape in parameter_shapes(TINY).items():
+            if name.endswith("_g"):
+                expected = np.ones(shape, dtype)
+            elif name.endswith("_b"):
+                expected = np.zeros(shape, dtype)
+            else:
+                expected = rng.normal(0.0, TINY.init_scale, size=shape).astype(dtype)
+            assert np.array_equal(model.params[name].data, expected), name
+
+    def test_an_update_to_flat_reaches_forward(self, vocab):
+        model = init_model(TINY)
+        ids, segs, mask = stack_examples(batch_for(["alpha beta", "gamma"], vocab))
+        before = model.forward(ids, segs, mask).data
+        model.flat *= 3.0
+        after = model.forward(ids, segs, mask).data
+        rebuilt = ClassifierModel(TINY, model.flat.copy()).forward(ids, segs, mask).data
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, rebuilt)
+
+    def test_flat_grad_follows_the_layout_and_reads_unset_as_zero(self, vocab):
+        model = init_model(TINY)
+        ids, segs, mask = stack_examples(batch_for(["alpha beta"], vocab))
+        T.cross_entropy(model.forward(ids, segs, mask), np.array([1])).backward()
+        model.params["head.out_b"].grad = None
+        grad = model.flat_grad()
+        assert grad.shape == model.flat.shape and grad.dtype == model.flat.dtype
+        offset = 0
+        for name, p in model.named_parameters():
+            chunk = grad[offset : offset + p.size].reshape(p.shape)
+            expected = np.zeros(p.shape) if p.grad is None else p.grad
+            assert np.array_equal(chunk, expected), name
+            offset += p.size
+
+    @pytest.mark.parametrize(
+        "delta, dtype", [(-1, np.float32), (1, np.float32), (0, np.int64), (0, np.float16)]
+    )
+    def test_flat_of_the_wrong_length_or_dtype_is_a_config_error(self, delta, dtype):
+        count = parameter_count(TINY)
+        with pytest.raises(ConfigError, match=f"expected float \\({count},\\)"):
+            ClassifierModel(TINY, np.zeros(count + delta, dtype=dtype))
 
 
 class TestEmbed:

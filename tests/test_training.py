@@ -3,13 +3,13 @@ independent scalar trace and bit for bit against the out-of-place update,
 end-to-end reproducibility, and learning on a separable synthetic corpus."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 import minibert.model as model_module
 import minibert.training as training_module
-from minibert import tensor as T
 from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.errors import ConfigError, TrainingError
 from minibert.model import ModelConfig, init_model
@@ -82,70 +82,81 @@ class TestShuffleEpoch:
 
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
-        p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam([p])
-        before = p.data.copy()
-        p.grad = np.zeros_like(p.data)
-        opt.step()
-        assert np.array_equal(p.data, before)
+        data = np.array([1.0, -2.0])
+        opt = Adam(data)
+        opt.step(np.zeros(2))
+        assert np.array_equal(data, [1.0, -2.0])
         assert opt.timestep == 1
 
     def test_zero_gradient_after_a_nonzero_step_still_moves_the_parameter(self):
-        p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam([p], learning_rate=0.1)
-        p.grad = np.array([0.5, -0.5])
-        opt.step()
-        for grad in (np.zeros(2), None):
-            before = p.data.copy()
-            p.grad = grad
-            opt.step()
-            # the momentum of the first step keeps pushing the same way
-            assert p.data[0] < before[0] and p.data[1] > before[1]
+        config = ModelConfig(
+            vocab_size=10, hidden_dim=4, num_layers=1, num_heads=2, ff_dim=8,
+            max_seq_len=8, num_classes=2,
+        )
+        model = init_model(config)
+        opt = Adam(model.flat, learning_rate=0.1)
+        rng = np.random.default_rng(3)
+        for p in model.params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        first = model.flat_grad()
+        opt.step(first)
+        zero = np.zeros_like(model.flat)
+        for unset in (False, True):
+            if unset:
+                model.zero_grad()  # every gradient unset: flat_grad reads zeros
+            before = model.flat.copy()
+            opt.step(model.flat_grad() if unset else zero)
+            # the momentum of the first step keeps pushing each entry the same way
+            assert np.array_equal(np.sign(model.flat - before), -np.sign(first))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_update_equals_the_reference_bit_for_bit(self, dtype):
         rng = np.random.default_rng(5)
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        params = [
-            T.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
-            for shape in ((3, 4), (4,), (2, 2), ())
+        shapes = ((3, 4), (4,), (2, 2), ())
+        state = [
+            (rng.standard_normal(shape).astype(dtype), np.zeros(shape, dtype), np.zeros(shape, dtype))
+            for shape in shapes
         ]
-        opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
-        state = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+        flat = np.concatenate([data.ravel() for data, _, _ in state])
+        opt = Adam(flat, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        splits = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
         for step in range(1, 7):
-            for i, p in enumerate(params):
-                # parameter 2 has no gradient except on steps 2 and 3
-                has_grad = i != 2 or step in (2, 3)
-                p.grad = rng.standard_normal(p.shape).astype(dtype) if has_grad else None
-            state = [
-                reference_adam_step(data, p.grad, m, v, step, lr, b1, b2, eps)
-                for (data, m, v), p in zip(state, params)
+            # parameter 2 has no gradient except on steps 2 and 3
+            grads = [
+                rng.standard_normal(shape).astype(dtype) if i != 2 or step in (2, 3) else None
+                for i, shape in enumerate(shapes)
             ]
-            opt.step()
-            for p, (data, _, _) in zip(params, state):
-                assert p.data.dtype == dtype and p.data.shape == data.shape
-                assert np.array_equal(p.data, data)
+            state = [
+                reference_adam_step(data, grad, m, v, step, lr, b1, b2, eps)
+                for (data, m, v), grad in zip(state, grads)
+            ]
+            opt.step(np.concatenate([
+                np.zeros(math.prod(shape), dtype) if grad is None else grad.ravel()
+                for shape, grad in zip(shapes, grads)
+            ]))
+            assert opt.data is flat and flat.dtype == dtype
+            for chunk, shape, (data, _, _) in zip(np.split(flat, splits), shapes, state):
+                assert np.array_equal(chunk.reshape(shape), data)
 
     def test_first_step_is_signed_learning_rate(self):
-        p = T.Tensor(np.array([0.0, 0.0], dtype=np.float64), requires_grad=True)
+        data = np.array([0.0, 0.0], dtype=np.float64)
         lr = 1e-3
-        opt = Adam([p], learning_rate=lr)
-        p.grad = np.array([0.5, -2.0])
-        opt.step()
-        np.testing.assert_allclose(p.data, [-lr, lr], rtol=1e-6)
+        opt = Adam(data, learning_rate=lr)
+        opt.step(np.array([0.5, -2.0]))
+        np.testing.assert_allclose(data, [-lr, lr], rtol=1e-6)
 
     def test_matches_independent_scalar_trace(self):
         start, lr, b1, b2, eps = 3.0, 0.1, 0.9, 0.999, 1e-8
-        p = T.Tensor(np.array([start], dtype=np.float64), requires_grad=True)
-        opt = Adam([p], learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        data = np.array([start], dtype=np.float64)
+        opt = Adam(data, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
         grads = []
         observed = []
         for _ in range(3):
-            g = 2.0 * float(p.data[0])  # gradient of the quadratic w^2
+            g = 2.0 * float(data[0])  # gradient of the quadratic w^2
             grads.append(g)
-            p.grad = np.array([g])
-            opt.step()
-            observed.append(float(p.data[0]))
+            opt.step(np.array([g]))
+            observed.append(float(data[0]))
         expected = scalar_adam_trace(grads, start, lr, b1, b2, eps)
         np.testing.assert_allclose(observed, expected, atol=1e-10)
 
