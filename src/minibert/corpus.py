@@ -49,35 +49,42 @@ class LabeledCorpus:
 def load_csv(path: str | Path) -> LabeledCorpus:
     """Read a ``text,label`` CSV; every data row becomes one record.
 
-    Raises :class:`CorpusError` naming the offending row for a bad header,
-    wrong column count, or a non-integer label; a missing file raises
+    Raises :class:`CorpusError` naming the path for a file that is not
+    UTF-8, and naming the offending row for a bad header, wrong column
+    count, or a non-integer label; a missing file raises
     ``FileNotFoundError``.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: file is empty, expected header 'text,label'") from None
-        if header != ["text", "label"]:
-            raise CorpusError(f"{path}: header must be exactly 'text,label', got {header}")
-        records: list[tuple[str, int]] = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise CorpusError(f"{path}: row {row_number} has {len(row)} columns, expected 2")
-            text, raw_label = row
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                label = int(raw_label)
-            except ValueError:
-                raise CorpusError(
-                    f"{path}: row {row_number} label {raw_label!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise CorpusError(f"{path}: row {row_number} label {label} is negative")
-            records.append((text, label))
+                header = next(reader)
+            except StopIteration:
+                raise CorpusError(f"{path}: file is empty, expected header 'text,label'") from None
+            if header != ["text", "label"]:
+                raise CorpusError(f"{path}: header must be exactly 'text,label', got {header}")
+            records: list[tuple[str, int]] = []
+            for row_number, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    raise CorpusError(
+                        f"{path}: row {row_number} has {len(row)} columns, expected 2"
+                    )
+                text, raw_label = row
+                try:
+                    label = int(raw_label)
+                except ValueError:
+                    raise CorpusError(
+                        f"{path}: row {row_number} label {raw_label!r} is not an integer"
+                    ) from None
+                if label < 0:
+                    raise CorpusError(f"{path}: row {row_number} label {label} is negative")
+                records.append((text, label))
+    except UnicodeDecodeError as err:
+        # decoding runs in chunks, so the error's offset need not be the file's
+        raise CorpusError(f"{path}: cannot read (not UTF-8, {err.reason})") from None
     if not records:
         raise CorpusError(f"{path}: no data rows after the header")
     num_classes = max(label for _, label in records) + 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, TrainingError, at_least, check_types
 from .evaluation import MetricsReport, confusion_matrix, metrics
-from .model import ClassifierModel, ModelConfig, as_stacked, example_labels, init_model
+from .model import ClassifierModel, ModelConfig, StackedExamples, as_stacked, init_model
 from .tokenizer import EncodedExample
 from .training import TrainConfig, TrainRun, train
 
@@ -77,7 +77,7 @@ class EnsembleModel:
         self.members = members
         self.config = config
 
-    def predict(self, examples: list[EncodedExample]) -> EnsemblePrediction:
+    def predict(self, examples: list[EncodedExample] | StackedExamples) -> EnsemblePrediction:
         return predict_ensemble(self, examples)
 
 
@@ -148,7 +148,7 @@ def average_vote(member_probabilities) -> np.ndarray:
 
 
 def predict_ensemble(
-    ensemble: EnsembleModel, examples: list[EncodedExample]
+    ensemble: EnsembleModel, examples: list[EncodedExample] | StackedExamples
 ) -> EnsemblePrediction:
     """Vote member predictions into final labels and count disagreements.
 
@@ -185,9 +185,10 @@ def evaluate(
 ) -> Evaluation:
     """Predict ``examples`` once with a model or an ensemble and score the
     labels, and an ensemble's member labels the same way."""
-    labels = example_labels(examples)
+    inputs = as_stacked(examples)
+    labels = inputs.labels
     if isinstance(predictor, EnsembleModel):
-        prediction = predictor.predict(examples)
+        prediction = predictor.predict(inputs)
         num_classes = predictor.config.member_model_config.num_classes
         voted, *members = (
             metrics(confusion_matrix(predicted, labels, num_classes))
@@ -198,7 +199,7 @@ def evaluate(
             member_accuracies=[member.accuracy for member in members],
             disagreement_count=prediction.disagreement_count,
         )
-    predicted = predictor.predict(examples)
+    predicted = predictor.predict(inputs)
     return Evaluation(metrics(confusion_matrix(predicted, labels, predictor.config.num_classes)))
 
 

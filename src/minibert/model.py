@@ -119,7 +119,8 @@ class ClassifierModel:
     """One trained or trainable classifier: embeddings, encoder stack, head.
 
     Each ``params[name].data`` is a view into one 1-D array, ``flat``, in
-    ``parameter_shapes`` order; ``flat_grad`` gathers gradients in that layout.
+    ``parameter_shapes`` order, and each ``params[name].grad`` the same
+    slice of ``grad``, a zeroed array of ``flat``'s dtype and length.
     """
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
@@ -129,27 +130,20 @@ class ClassifierModel:
             raise ConfigError(f"flat is {flat.dtype} {flat.shape}, expected float ({count},)")
         self.config = config
         self.flat = flat
+        self.grad = np.zeros_like(flat)
         self.params: dict[str, T.Tensor] = {}
         end = 0
         for name, shape in parameter_shapes(config).items():
             start, end = end, end + math.prod(shape)
-            self.params[name] = T.Tensor(flat[start:end].reshape(shape), requires_grad=True)
+            param = T.Tensor(flat[start:end].reshape(shape), requires_grad=True)
+            param.grad = self.grad[start:end].reshape(shape)
+            self.params[name] = param
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self.params.items())
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def flat_grad(self) -> np.ndarray:
-        """Every gradient in ``flat``'s layout; an unset one counts as zero."""
-        return np.concatenate(
-            [
-                np.zeros(p.size, p.dtype) if p.grad is None else p.grad.ravel()
-                for p in self.params.values()
-            ]
-        )
+        self.grad.fill(0)
 
     # -- forward pieces --------------------------------------------------
 

@@ -59,7 +59,9 @@ class Tensor:
     Tensors produced by operations remember their inputs; calling
     :meth:`backward` on a scalar result accumulates gradients into every
     reachable leaf tensor that has ``requires_grad`` set.  Repeated
-    backward calls accumulate further until :meth:`zero_grad`.
+    backward calls accumulate further until :meth:`zero_grad`.  A leaf's
+    ``grad`` is only ever written in place, so it may be a view into a
+    larger buffer, such as ``ClassifierModel.grad``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -100,14 +102,18 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero ``grad`` in place; a leaf without one keeps none."""
+        if self.grad is not None:
+            self.grad.fill(0)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
         ``self`` must be a scalar.  Intermediate gradients are discarded
         after propagation; only leaf tensors (those not produced by an
-        operation) keep their ``grad``.
+        operation) keep their ``grad``.  A leaf's gradient is added into
+        its ``grad`` array in place; a leaf without one stores a copy of
+        its gradient, since one array can reach several leaves.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -138,8 +144,10 @@ class Tensor:
             if grad is None:
                 continue
             if node._vjp is None:
-                if node.requires_grad:
-                    node.grad = grad if node.grad is None else node.grad + grad
+                if node.requires_grad and node.grad is None:
+                    node.grad = grad.copy()
+                elif node.requires_grad:
+                    node.grad += grad
                 continue
             for parent, contribution in zip(node._parents, node._vjp(grad)):
                 if contribution is None or not parent.requires_grad:

@@ -137,13 +137,3 @@ def encode(text: str, vocab: Vocabulary, max_seq_len: int, label: int = 0) -> En
         attention_mask=[1] * used + [0] * (max_seq_len - used),
         label=label,
     )
-
-
-def decode(token_ids: list[int], vocab: Vocabulary) -> list[str]:
-    """Content tokens of an encoded sequence, [CLS]/[SEP]/[PAD] stripped."""
-    out = []
-    for i in token_ids:
-        if i in (CLS_ID, SEP_ID, PAD_ID):
-            continue
-        out.append(vocab.id_to_token[i])
-    return out

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, TrainingError, above, at_least, check_types, within
-from .model import (
-    ClassifierModel,
-    StackedExamples,
-    as_stacked,
-    example_labels,
-    stack_examples,
-    trim_padding,
-)
+from .model import ClassifierModel, StackedExamples, as_stacked, trim_padding
 from .tokenizer import EncodedExample
 
 
@@ -61,10 +54,6 @@ class TrainRun:
     total_seconds: float
     model: ClassifierModel = field(repr=False)
 
-    @property
-    def final_val_accuracy(self) -> float:
-        return self.epochs[-1].val_accuracy
-
 
 def split_dataset(examples: Sequence, split_ratio: float, split_seed: int):
     """Seeded random split; the first ceil(N * ratio) of the permutation train.
@@ -95,12 +84,10 @@ def shuffle_epoch(items: Sequence, shuffle_seed: int, epoch_index: int) -> list:
 
 class Adam:
     """Adam with bias correction over one flat parameter array, such as
-    ``ClassifierModel.flat``; one timestep increment per step() call.
+    ``ClassifierModel.flat``, stepped with a gradient in the same layout,
+    such as ``ClassifierModel.grad``; one timestep increment per step() call.
 
-    The two moment arrays have ``data``'s shape and dtype.  A zero
-    gradient leaves a parameter unchanged only while its first moment is
-    still zero; after a nonzero gradient the decaying momentum keeps
-    moving it.
+    The two moment arrays have ``data``'s shape and dtype.
 
     The update overwrites moments and ``data`` in place, with two scratch
     arrays, in the operation order of the plain expressions, so the
@@ -186,8 +173,8 @@ def train(
         beta2=config.adam_beta2,
         epsilon=config.adam_epsilon,
     )
-    ids, segs, mask = stack_examples(train_set)
-    labels = example_labels(train_set)
+    inputs = as_stacked(train_set)
+    ids, segs, mask = inputs.token_ids, inputs.segment_ids, inputs.attention_mask
     val_inputs = as_stacked(val_set)
     n = len(train_set)
     stats: list[EpochStats] = []
@@ -201,12 +188,12 @@ def train(
                 # a diverging run overflows to inf and nan; the loss check reports it
                 with np.errstate(over="ignore", invalid="ignore"):
                     logits = model.forward(*trim_padding(ids[picked], segs[picked], mask[picked]))
-                    loss = T.cross_entropy(logits, labels[picked])
+                    loss = T.cross_entropy(logits, inputs.labels[picked])
                     if not np.isfinite(loss.data):
                         raise TrainingError(f"loss is {loss.item()}, training diverged")
                     model.zero_grad()
                     loss.backward()
-                    optimizer.step(model.flat_grad())
+                    optimizer.step(model.grad)
             except Exception as err:
                 raise TrainingError(
                     f"epoch {epoch + 1}, batch {batch_index}: {err}"

@@ -3,9 +3,11 @@
 Everything here is deliberately written without the package's autodiff:
 central finite differences, scalar re-implementations, and brute-force
 counting, so the tests check the library against a second, independent
-route to the same numbers.  The one exception, ``full_layer_logits``, is
-built from the model's own layers on purpose: it is the full-width forward
-that the [CLS]-only inference path must match, and training bit for bit.
+route to the same numbers.  Two exceptions are built from the model's own
+layers on purpose.  ``full_layer_logits`` is the full-width forward that
+the [CLS]-only inference path must match, and training bit for bit.
+``reference_train`` differentiates fresh leaves that own their gradients,
+to check the shared gradient buffer and the in-place optimizer.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 from minibert import tensor as T
 from minibert.evaluation import ConfusionMatrix, MetricsReport, _ratio
+from minibert.model import ClassifierModel, as_stacked, trim_padding
+from minibert.training import shuffle_epoch
 
 FD_STEP = 1e-4
 REL_TOL = 1e-3
@@ -154,6 +158,36 @@ def full_layer_logits(model, token_ids, segment_ids, attention_mask) -> np.ndarr
         x = model.encoder_layer(x, attention_mask, i)
     pooled = T.tanh(T.matmul(x[:, 0, :], p["head.hidden_w"], p["head.hidden_b"]))
     return T.matmul(pooled, p["head.out_w"], p["head.out_b"]).data
+
+
+def reference_train(model, train_set, config) -> dict[str, np.ndarray]:
+    """The parameters ``training.train(model, train_set, _, config)``
+    should reach, tensor by tensor: each batch, in ``train``'s order and
+    trim, differentiates fresh leaves holding the current weights, and
+    each tensor takes its own ``reference_adam_step``.  ``model`` is left
+    alone."""
+    data = {name: p.data.copy() for name, p in model.params.items()}
+    m = {name: np.zeros_like(d) for name, d in data.items()}
+    v = {name: np.zeros_like(d) for name, d in data.items()}
+    probe = ClassifierModel(model.config, np.zeros_like(model.flat))
+    inputs = as_stacked(train_set)
+    n, t = len(train_set), 0
+    for epoch in range(config.epochs):
+        order = np.asarray(shuffle_epoch(list(range(n)), config.shuffle_seed, epoch))
+        for start in range(0, n, config.batch_size):
+            picked = order[start : start + config.batch_size]
+            probe.params = {name: T.Tensor(d, requires_grad=True) for name, d in data.items()}
+            batch = trim_padding(
+                inputs.token_ids[picked], inputs.segment_ids[picked], inputs.attention_mask[picked]
+            )
+            T.cross_entropy(probe.forward(*batch), inputs.labels[picked]).backward()
+            t += 1
+            for name, leaf in probe.params.items():
+                data[name], m[name], v[name] = reference_adam_step(
+                    data[name], leaf.grad, m[name], v[name], t, config.learning_rate,
+                    config.adam_beta1, config.adam_beta2, config.adam_epsilon,
+                )
+    return data
 
 
 def out_of_place_backward(loss) -> dict[int, np.ndarray]:

@@ -7,6 +7,7 @@ metrics calculator."""
 
 import dataclasses
 import json
+import platform
 import shutil
 import types
 import typing
@@ -381,6 +382,14 @@ class TestConfigRejectedBeforeAnyWork:
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, "3 classes", "num_classes is 2")
+
+    def test_non_utf8_corpus_csv(self, tmp_path, capsys):
+        corpus_path = tmp_path / "bad.csv"
+        corpus_path.write_bytes(b"text,label\nab\xff,1\nc,0\n")
+        config_path = tiny_config(tmp_path, corpus={"path": str(corpus_path)})
+        self.assert_rejected(
+            tmp_path, capsys, config_path, f"{corpus_path}: cannot read (not UTF-8"
+        )
 
     @pytest.mark.parametrize(
         "section, key",
@@ -831,6 +840,16 @@ class TestEvalCommand:
         assert out == ""
         assert err == "error: corpus has 3 classes but the checkpoint was trained for 2\n"
 
+    def test_non_utf8_corpus_exits_two_naming_the_file(self, completed_run, tmp_path, capsys):
+        _, run_dir = completed_run
+        corpus_path = tmp_path / "bad.csv"
+        corpus_path.write_bytes(b"text,label\nab\xff,1\nc,0\n")
+        code = main(["eval", str(run_dir / "checkpoints" / "single-3layer"), str(corpus_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {corpus_path}: cannot read (not UTF-8, invalid start byte)\n"
+
     def test_text_output_lists_metrics(self, completed_run, capsys):
         _, run_dir = completed_run
         code = main(
@@ -917,6 +936,26 @@ class TestFailurePath:
         monkeypatch.setattr(cli_module, "_cmd_metrics", raising)
         assert main(["metrics", "1", "2", "3", "4"]) == 1
         assert capsys.readouterr() == ("", "error: 'tp'\n")
+
+
+class TestAllocatorPin:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_takes_the_settings(self):
+        assert cli_module.pin_allocator() == {
+            "M_MMAP_THRESHOLD": 32 * 1024 * 1024, "M_TRIM_THRESHOLD": 1024 * 1024 * 1024
+        }
+
+    def test_main_pins_the_allocator(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli_module, "pin_allocator", lambda: calls.append(len(calls)))
+        assert main(["metrics", "1", "2", "3", "4"]) == 0
+        assert calls == [0]
+
+    def test_without_mallopt_nothing_is_pinned_and_main_runs(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert cli_module.pin_allocator() is None
+        assert main(["metrics", "1", "2", "3", "4"]) == 0
+        assert capsys.readouterr().out.startswith("accuracy")
 
 
 class TestDisplayRounding:

@@ -46,6 +46,15 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("rows_before", [0, 5000])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, rows_before):
+        # 5000 rows put the bad byte past the first chunk the reader decodes
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"text,label\n" + b"ok,0\n" * rows_before + b"ab\xff,1\nc,0\n")
+        with pytest.raises(CorpusError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: cannot read (not UTF-8, invalid start byte)"
+
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("text,label\n", encoding="utf-8")

@@ -143,19 +143,30 @@ class TestFlatLayout:
         assert not np.array_equal(after, before)
         assert np.array_equal(after, rebuilt)
 
-    def test_flat_grad_follows_the_layout_and_reads_unset_as_zero(self, vocab):
-        model = init_model(TINY)
+    @staticmethod
+    def assert_grads_tile_the_buffer(model):
+        offset = 0
+        for (name, shape), (seen, p) in zip(
+            parameter_shapes(TINY).items(), model.named_parameters()
+        ):
+            # a contiguous array of this shape that starts where its slice starts
+            assert seen == name and p.grad.shape == shape and p.grad.flags.c_contiguous, name
+            assert p.grad.ctypes.data == model.grad[offset:].ctypes.data, name
+            offset += math.prod(shape)
+        assert offset == model.grad.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_gradient_is_a_view_tiling_grad_in_shape_order(self, vocab, dtype):
+        model = init_model(TINY, dtype)
+        assert model.grad.shape == model.flat.shape and model.grad.dtype == dtype
+        assert not model.grad.any()
         ids, segs, mask = stack_examples(batch_for(["alpha beta"], vocab))
         T.cross_entropy(model.forward(ids, segs, mask), np.array([1])).backward()
-        model.params["head.out_b"].grad = None
-        grad = model.flat_grad()
-        assert grad.shape == model.flat.shape and grad.dtype == model.flat.dtype
-        offset = 0
-        for name, p in model.named_parameters():
-            chunk = grad[offset : offset + p.size].reshape(p.shape)
-            expected = np.zeros(p.shape) if p.grad is None else p.grad
-            assert np.array_equal(chunk, expected), name
-            offset += p.size
+        assert model.grad.any()
+        self.assert_grads_tile_the_buffer(model)
+        model.zero_grad()
+        assert not model.grad.any()
+        self.assert_grads_tile_the_buffer(model)
 
     @pytest.mark.parametrize(
         "delta, dtype", [(-1, np.float32), (1, np.float32), (0, np.int64), (0, np.float16)]

@@ -331,6 +331,27 @@ class TestBackward:
         loss.backward()
         np.testing.assert_array_equal(p.grad, [2.0, 2.0])
 
+    def test_leaves_fed_one_upstream_array_accumulate_apart(self):
+        # ``add`` hands one gradient array to both parents, so a leaf that
+        # kept that array instead of a copy would share it with the other
+        a = T.Tensor(np.zeros(2), requires_grad=True)
+        b = T.Tensor(np.zeros(2), requires_grad=True)
+        loss = (a + b).sum()
+        loss.backward()
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+
+    def test_backward_adds_into_an_existing_grad_in_place(self):
+        buffer = np.zeros(4)
+        p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p.grad = buffer[1:3]
+        (p * p).sum().backward()
+        np.testing.assert_array_equal(buffer, [0.0, 2.0, -4.0, 0.0])
+        p.zero_grad()
+        assert p.grad.base is buffer
+        np.testing.assert_array_equal(buffer, np.zeros(4))
+
     def test_shared_subexpression_counted_once_per_use(self):
         p = T.Tensor(np.array([3.0]), requires_grad=True)
         q = p * 2.0

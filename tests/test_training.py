@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import minibert.model as model_module
-import minibert.training as training_module
 from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.errors import ConfigError, TrainingError
 from minibert.model import ModelConfig, init_model
@@ -22,7 +21,7 @@ from minibert.training import (
     split_dataset,
     train,
 )
-from _oracles import reference_adam_step, scalar_adam_trace
+from _oracles import reference_adam_step, reference_train, scalar_adam_trace
 
 
 class TestSplitDataset:
@@ -97,15 +96,13 @@ class TestAdam:
         opt = Adam(model.flat, learning_rate=0.1)
         rng = np.random.default_rng(3)
         for p in model.params.values():
-            p.grad = rng.standard_normal(p.shape).astype(np.float32)
-        first = model.flat_grad()
-        opt.step(first)
-        zero = np.zeros_like(model.flat)
-        for unset in (False, True):
-            if unset:
-                model.zero_grad()  # every gradient unset: flat_grad reads zeros
+            p.grad[...] = rng.standard_normal(p.shape)
+        first = model.grad.copy()
+        opt.step(model.grad)
+        model.zero_grad()
+        for _ in range(2):
             before = model.flat.copy()
-            opt.step(model.flat_grad() if unset else zero)
+            opt.step(model.grad)
             # the momentum of the first step keeps pushing each entry the same way
             assert np.array_equal(np.sign(model.flat - before), -np.sign(first))
 
@@ -193,10 +190,21 @@ class TestTrain:
             model, train_set, val_set,
             TrainConfig(epochs=3, learning_rate=1e-2, shuffle_seed=3),
         )
-        assert run.final_val_accuracy >= 0.95
+        assert run.epochs[-1].val_accuracy >= 0.95
         assert run.epochs[2].mean_loss < run.epochs[0].mean_loss
         assert len(run.epochs) == 3
         assert run.total_seconds > 0
+
+    def test_steps_equal_per_tensor_gradients_and_updates_bit_for_bit(self, separable_setup):
+        config, train_set, val_set = separable_setup
+        # 20 examples in batches of 8: three steps per epoch, the last one partial
+        subset = train_set[:20]
+        train_config = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2, shuffle_seed=4)
+        expected = reference_train(init_model(config), subset, train_config)
+        model = train(init_model(config), subset, val_set, train_config).model
+        assert model.flat.dtype == np.float32
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, expected[name]), name
 
     def test_validation_seconds_lie_inside_each_epoch(self, separable_setup):
         config, train_set, val_set = separable_setup
@@ -282,7 +290,6 @@ class TestTrain:
             return stack(examples)
 
         monkeypatch.setattr(model_module, "stack_examples", recording_stack)
-        monkeypatch.setattr(training_module, "stack_examples", recording_stack)
         train(init_model(config), train_set, val_set, TrainConfig(epochs=3))
         assert stacked == [len(train_set), len(val_set)]
 
