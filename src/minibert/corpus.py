@@ -17,42 +17,30 @@ from typing import Annotated
 import numpy as np
 
 from .errors import ConfigError, CorpusError, check_types, within
+from .tokenizer import segment_text
 
 
 @dataclass
 class LabeledCorpus:
-    """Texts with integer class labels; every class occurs at least once."""
+    """Texts with integer class labels in ``[0, num_classes)``; a plain
+    holder, since each producer checks the rules of the input it reads."""
 
     records: list[tuple[str, int]]
     num_classes: int
-
-    def __post_init__(self):
-        if not self.records:
-            raise CorpusError("corpus has no records")
-        seen = set()
-        for i, (text, label) in enumerate(self.records):
-            if not text.strip():
-                raise CorpusError(f"record {i}: text is empty after trimming")
-            if not 0 <= label < self.num_classes:
-                raise CorpusError(
-                    f"record {i}: label {label} outside [0, {self.num_classes})"
-                )
-            seen.add(label)
-        missing = set(range(self.num_classes)) - seen
-        if missing:
-            raise CorpusError(f"classes never observed: {sorted(missing)}")
 
     def __len__(self) -> int:
         return len(self.records)
 
 
 def load_csv(path: str | Path) -> LabeledCorpus:
-    """Read a ``text,label`` CSV; every data row becomes one record.
+    """Read a ``text,label`` CSV; every data row becomes one record, and
+    ``num_classes`` is one more than the largest label, so a held-out file
+    may hold any subset of the classes.
 
     Raises :class:`CorpusError` naming the path for a file that is not
     UTF-8, and naming the offending row for a bad header, wrong column
-    count, or a non-integer label; a missing file raises
-    ``FileNotFoundError``.
+    count, a non-integer or negative label, or a blank text; a missing
+    file raises ``FileNotFoundError``.
     """
     path = Path(path)
     if not path.exists():
@@ -81,6 +69,8 @@ def load_csv(path: str | Path) -> LabeledCorpus:
                     ) from None
                 if label < 0:
                     raise CorpusError(f"{path}: row {row_number} label {label} is negative")
+                if not text.strip():
+                    raise CorpusError(f"{path}: row {row_number} text is empty after trimming")
                 records.append((text, label))
     except UnicodeDecodeError as err:
         # decoding runs in chunks, so the error's offset need not be the file's
@@ -102,7 +92,9 @@ def save_csv(corpus: LabeledCorpus, path: str | Path) -> None:
 
 @dataclass
 class SyntheticSpec:
-    """Recipe for a balanced synthetic corpus with disjoint class vocabularies."""
+    """Recipe for a balanced synthetic corpus with disjoint class vocabularies.
+    Each pool token must be one tokenizer token, ``segment_text(token) ==
+    [token]``, so the pools are disjoint as tokens and no text is blank."""
 
     num_examples: int
     class_token_pools: list[list[str]]
@@ -123,12 +115,12 @@ class SyntheticSpec:
             raise ConfigError("need at least two class token pools")
         if any(not pool for pool in self.class_token_pools):
             raise ConfigError("class token pools must be nonempty")
-        union: set[str] = set()
-        total = 0
-        for pool in self.class_token_pools:
-            union.update(pool)
-            total += len(pool)
-        if len(union) != total:
+        class_tokens = [token for pool in self.class_token_pools for token in pool]
+        for key, tokens in (("class_token_pools", class_tokens), ("shared_pool", self.shared_pool)):
+            for token in tokens:
+                if segment_text(token) != [token]:
+                    raise ConfigError(f"{key}: token {token!r} is not one tokenizer token")
+        if len(set(class_tokens)) != len(class_tokens):
             raise ConfigError("class token pools must be pairwise disjoint")
         if self.noise_rate > 0.0 and not self.shared_pool:
             raise ConfigError("noise_rate > 0 requires a nonempty shared pool")

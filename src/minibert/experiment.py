@@ -9,7 +9,6 @@ The vocabulary is always built from the training split only.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -17,11 +16,13 @@ from pathlib import Path
 from typing import Annotated, TextIO
 
 from .checkpoint import save_checkpoint
-from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv
+from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
-from .errors import ConfigError, TrainingError, at_least, check_types, read_json, read_section
+from .errors import (
+    ConfigError, CorpusError, TrainingError, at_least, check_types, read_json, read_section
+)
 from .evaluation import ComparisonReport, TimingRecord, compare_report
-from .model import ModelConfig, init_model
+from .model import ModelConfig, as_stacked, init_model
 from .tokenizer import MIN_SEQ_LEN, NUM_SPECIAL_TOKENS, Vocabulary, build_vocab, encode
 from .training import TrainConfig, TrainRun, split_dataset, train
 
@@ -105,9 +106,9 @@ def parse_experiment_config(raw) -> ExperimentConfig:
     if corpus.synthetic is not None:
         synthetic = parse_synthetic_spec(corpus.synthetic, "corpus.synthetic")
     tokenizer = read_section(TokenizerConfig, sections.tokenizer, "tokenizer")
-    # vocab_size is a placeholder until the vocabulary is built
+    # placeholders: vocab_size until the vocabulary is built, num_layers until a variant sets it
     derived = {"vocab_size": tokenizer.max_vocab, "max_seq_len": tokenizer.max_seq_len}
-    model = read_section(ModelConfig, sections.model, "model", **derived)
+    model = read_section(ModelConfig, sections.model, "model", num_layers=1, **derived)
     train = read_section(TrainConfig, sections.train, "train")
     variants = []
     for i, entry in enumerate(sections.variants):
@@ -191,17 +192,15 @@ def _fresh_run_dir(root: Path) -> Path:
     return candidate
 
 
-def _write_split_csv(records: list[tuple[str, int]], path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["text", "label"])
-        writer.writerows(records)
-
-
 def _load_corpus(config: ExperimentConfig) -> LabeledCorpus:
-    if config.corpus_path is not None:
-        return load_csv(config.corpus_path)
-    return generate_synthetic(config.synthetic)
+    """The training corpus; a CSV one must hold every class below its largest label."""
+    if config.corpus_path is None:
+        return generate_synthetic(config.synthetic)
+    corpus = load_csv(config.corpus_path)
+    missing = set(range(corpus.num_classes)) - {label for _, label in corpus.records}
+    if missing:
+        raise CorpusError(f"{config.corpus_path}: classes never observed: {sorted(missing)}")
+    return corpus
 
 
 def run_experiment(
@@ -229,12 +228,13 @@ def run_experiment(
     model_config = replace(config.model, vocab_size=len(vocab))
 
     seq_len = config.tokenizer.max_seq_len
-    train_set = [encode(text, vocab, seq_len, label) for text, label in train_records]
-    val_set = [encode(text, vocab, seq_len, label) for text, label in val_records]
+    # stacked once here, outside every timed train call
+    train_set = as_stacked([encode(text, vocab, seq_len, label) for text, label in train_records])
+    val_set = as_stacked([encode(text, vocab, seq_len, label) for text, label in val_records])
 
     run_dir = _fresh_run_dir(Path(config.output_dir))
-    _write_split_csv(train_records, run_dir / "train.csv")
-    _write_split_csv(val_records, run_dir / "val.csv")
+    save_csv(LabeledCorpus(train_records, corpus.num_classes), run_dir / "train.csv")
+    save_csv(LabeledCorpus(val_records, corpus.num_classes), run_dir / "val.csv")
     vocab.save(run_dir / "vocab.txt")
 
     results: list[VariantResult] = []

@@ -19,9 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minibert.cli as cli_module
+import minibert.model as model_module
 from minibert.checkpoint import load_ensemble
 from minibert.cli import main
-from minibert.corpus import generate_synthetic, load_csv
+from minibert.corpus import LabeledCorpus, generate_synthetic, load_csv, save_csv
 from minibert.ensemble import Evaluation
 from minibert.errors import ConfigError
 from minibert.evaluation import ConfusionMatrix, metrics
@@ -211,6 +212,23 @@ class TestRunCommand:
         assert set(metrics_doc["variants"]) == {"plain", "deep"}
         assert metrics_doc["skipped_gated"] == []
 
+    def test_each_example_set_is_stacked_once_per_run(self, tmp_path, monkeypatch):
+        """Stacking runs before, not inside, each timed ``train`` call and
+        each evaluation, so the recorded training time leaves it out."""
+        config = parse_experiment_config(tiny_config_dict(tmp_path / "runs"))
+        stacked = []
+        stack = model_module.stack_examples
+
+        def recording_stack(examples):
+            stacked.append(len(examples))
+            return stack(examples)
+
+        monkeypatch.setattr(model_module, "stack_examples", recording_stack)
+        result = run_experiment(config)
+        assert [v.name for v in result.variants] == ["ensemble-3x1", "single-3layer"]
+        train_rows = len(load_csv(result.run_dir / "train.csv"))
+        assert stacked == [train_rows, len(load_csv(result.run_dir / "val.csv"))]
+
     def test_parallel_members_flag_is_gone(self, tmp_path, capsys):
         config_path = tiny_config(tmp_path)
         assert main(["run", str(config_path), "--quiet", "--parallel-members"]) == 2
@@ -392,6 +410,21 @@ class TestConfigRejectedBeforeAnyWork:
         )
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ('a,0\n" ",1\n', "row 3 text is empty after trimming"),
+            ("a,1\nb,1\n", "classes never observed: [0]"),
+        ],
+        ids=["blank-text", "missing-class"],
+    )
+    def test_bad_corpus_csv_names_the_file(self, tmp_path, capsys, rows, message):
+        """A training corpus must also hold every class below its largest label."""
+        corpus_path = tmp_path / "corpus.csv"
+        corpus_path.write_text("text,label\n" + rows, encoding="utf-8")
+        config_path = tiny_config(tmp_path, corpus={"path": str(corpus_path)})
+        self.assert_rejected(tmp_path, capsys, config_path, f"error: {corpus_path}: {message}\n")
+
+    @pytest.mark.parametrize(
         "section, key",
         [("tokenizer", "min_freq"), ("corpus", "paths"), ("corpus.synthetic", "noise")],
     )
@@ -431,6 +464,7 @@ class TestConfigRejectedBeforeAnyWork:
             ("tokenizer", "min_frequency", -3),
             ("model", "max_seq_len", 16),
             ("model", "vocab_size", 7),
+            ("model", "num_layers", 3),
             ("corpus.synthetic", "noise_rate", "0.1"),
             ("corpus.synthetic", "num_examples", "200"),
             ("corpus.synthetic", "seed", "x"),
@@ -439,8 +473,8 @@ class TestConfigRejectedBeforeAnyWork:
         ],
     )
     def test_bad_section_value(self, tmp_path, capsys, section, key, value):
-        """``model`` also rejects vocab_size and max_seq_len, which are derived
-        from the vocabulary and the tokenizer section."""
+        """``model`` also rejects vocab_size, max_seq_len and num_layers, which
+        are derived from the vocabulary, the tokenizer section and each variant."""
         raw = tiny_config_dict(tmp_path / "runs")
         nested_section(raw, section)[key] = value
         config_path = tmp_path / "experiment.json"
@@ -828,17 +862,38 @@ class TestEvalCommand:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
         assert phrase in err
 
-    def test_corpus_with_more_classes_than_the_checkpoint_exits_one(
-        self, completed_run, tmp_path, capsys
-    ):
+    def assert_too_many_classes(self, completed_run, tmp_path, capsys, rows, classes):
         _, run_dir = completed_run
-        corpus_path = tmp_path / "three.csv"
-        corpus_path.write_text("text,label\na,0\nb,1\nc,2\n", encoding="utf-8")
+        corpus_path = tmp_path / "more.csv"
+        corpus_path.write_text("text,label\n" + rows, encoding="utf-8")
         code = main(["eval", str(run_dir / "checkpoints" / "single-3layer"), str(corpus_path)])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: corpus has 3 classes but the checkpoint was trained for 2\n"
+        assert err == f"error: corpus has {classes} classes but the checkpoint was trained for 2\n"
+
+    def test_corpus_with_more_classes_than_the_checkpoint_exits_one(
+        self, completed_run, tmp_path, capsys
+    ):
+        self.assert_too_many_classes(completed_run, tmp_path, capsys, "a,0\nb,1\nc,2\n", 3)
+
+    def test_unobserved_classes_below_the_largest_label_count(
+        self, completed_run, tmp_path, capsys
+    ):
+        """Classes count up to the largest label, observed or not."""
+        self.assert_too_many_classes(completed_run, tmp_path, capsys, "a,0\nb,3\n", 4)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_corpus_of_one_class_is_scored(self, completed_run, tmp_path, capsys, label):
+        """A held-out file may hold any subset of the classes."""
+        _, run_dir = completed_run
+        rows = [(text, y) for text, y in load_csv(run_dir / "val.csv").records if y == label]
+        corpus_path = tmp_path / "one-class.csv"
+        save_csv(LabeledCorpus(rows, label + 1), corpus_path)
+        checkpoint = run_dir / "checkpoints" / "single-3layer"
+        assert main(["eval", str(checkpoint), str(corpus_path), "--json"]) == 0
+        confusion = json.loads(capsys.readouterr().out)["metrics"]["confusion"]
+        assert len(confusion) == 2 and sum(confusion[label]) == len(rows) > 0
 
     def test_non_utf8_corpus_exits_two_naming_the_file(self, completed_run, tmp_path, capsys):
         _, run_dir = completed_run
@@ -1041,6 +1096,21 @@ class TestGenSyntheticCommand:
         assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1
         assert key in err and repr(value) in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("token", ["A", "", "x y", "好天"])
+    def test_pool_tokens_must_be_tokenizer_tokens(self, tmp_path, capsys, token):
+        """Pools ``[["A"], ["a"]]`` are disjoint as strings, yet the tokenizer
+        reads both classes as the one token 'a'."""
+        spec = {"num_examples": 4, "seed": 1, "class_token_pools": [[token], ["a"]]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out_csv = tmp_path / "x.csv"
+        code = main(["gen-synthetic", str(spec_path), str(out_csv)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and not out_csv.exists()
+        assert err == (
+            f"error: {spec_path}: class_token_pools: token {token!r} is not one tokenizer token\n"
+        )
 
     def test_bad_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

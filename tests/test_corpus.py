@@ -14,6 +14,7 @@ from minibert.corpus import (
     save_csv,
 )
 from minibert.errors import ConfigError, CorpusError
+from minibert.tokenizer import segment_text
 
 
 class TestLoadCsv:
@@ -84,25 +85,27 @@ class TestLoadCsv:
             loaded = load_csv(path)
             assert loaded.records == records
 
+    @pytest.mark.parametrize("blank", ["", "  ", "\u3000\n"], ids=["empty", "spaces", "cjk-space"])
+    def test_blank_text_names_the_path_and_row(self, tmp_path, blank):
+        path = tmp_path / "corpus.csv"
+        path.write_text(f'text,label\nfine,0\n"{blank}",1\n', encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: row 3 text is empty after trimming"
+
+    def test_labels_need_not_cover_every_class(self, tmp_path):
+        """A held-out file may hold one class only; training corpora are
+        checked for coverage where they are loaded for a run."""
+        path = tmp_path / "corpus.csv"
+        path.write_text("text,label\na,1\nb,1\n", encoding="utf-8")
+        corpus = load_csv(path)
+        assert corpus.records == [("a", 1), ("b", 1)] and corpus.num_classes == 2
+
     def test_record_count_matches_row_count(self, tmp_path):
         path = tmp_path / "corpus.csv"
         rows = [f"text {i},{i % 2}" for i in range(25)]
         path.write_text("text,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
         assert len(load_csv(path)) == 25
-
-
-class TestLabeledCorpusInvariants:
-    def test_blank_text_rejected(self):
-        with pytest.raises(CorpusError, match="empty after trimming"):
-            LabeledCorpus(records=[("  ", 0), ("b", 1)], num_classes=2)
-
-    def test_missing_class_rejected(self):
-        with pytest.raises(CorpusError, match="never observed"):
-            LabeledCorpus(records=[("a", 0), ("b", 0)], num_classes=2)
-
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(CorpusError, match="outside"):
-            LabeledCorpus(records=[("a", 0), ("b", 5)], num_classes=2)
 
 
 class TestSyntheticSpec:
@@ -113,6 +116,26 @@ class TestSyntheticSpec:
                 class_token_pools=[["x", "y"], ["y", "z"]],
                 shared_pool=[],
             )
+
+    @pytest.mark.parametrize("token", ["", "x y", "A", "好天"])
+    @pytest.mark.parametrize("key", ["class_token_pools", "shared_pool"])
+    def test_pool_token_must_be_one_tokenizer_token(self, key, token):
+        """The tokenizer would read each of these tokens as none, two, or a
+        lowercased other token, so pools disjoint as strings could share a
+        token, and a text could be blank."""
+        pools = {"class_token_pools": [["a"], ["b"]], "shared_pool": ["c"]}
+        (pools[key][1] if key == "class_token_pools" else pools[key]).append(token)
+        with pytest.raises(ConfigError) as err:
+            SyntheticSpec(num_examples=4, **pools)
+        assert str(err.value) == f"{key}: token {token!r} is not one tokenizer token"
+
+    def test_single_cjk_character_is_one_token(self):
+        spec = SyntheticSpec(
+            num_examples=8, class_token_pools=[["好"], ["坏"]], shared_pool=["天"],
+            noise_rate=0.5,
+        )
+        for text, label in generate_synthetic(spec).records:
+            assert set(segment_text(text)) <= {["好", "坏"][label], "天"}
 
     def test_noise_requires_shared_pool(self):
         with pytest.raises(ConfigError, match="shared pool"):
