@@ -23,12 +23,8 @@ from .evaluation import (
 )
 from .model import (
     ClassifierModel,
-    MaskedBatch,
-    MaskingPolicy,
     ModelConfig,
-    apply_mlm_mask,
     init_model,
-    mlm_pretrain_loss,
     parameter_count,
 )
 from .tensor import Tensor
@@ -46,8 +42,6 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleModel",
     "LabeledCorpus",
-    "MaskedBatch",
-    "MaskingPolicy",
     "MetricsReport",
     "ModelConfig",
     "SyntheticSpec",
@@ -58,7 +52,6 @@ __all__ = [
     "Vocabulary",
     "accuracy",
     "accuracy_per_minute",
-    "apply_mlm_mask",
     "average_vote",
     "build_vocab",
     "compare_report",
@@ -69,7 +62,6 @@ __all__ = [
     "load_csv",
     "majority_vote",
     "metrics",
-    "mlm_pretrain_loss",
     "parameter_count",
     "predict_ensemble",
     "relative_overhead",

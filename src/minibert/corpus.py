@@ -37,14 +37,12 @@ def load_csv(path: str | Path) -> LabeledCorpus:
     ``num_classes`` is one more than the largest label, so a held-out file
     may hold any subset of the classes.
 
-    Raises :class:`CorpusError` naming the path for a file that is not
-    UTF-8, and naming the offending row for a bad header, wrong column
-    count, a non-integer or negative label, or a blank text; a missing
-    file raises ``FileNotFoundError``.
+    Raises :class:`CorpusError` naming the path for a file that cannot be
+    opened or read or is not UTF-8, and naming the offending row for a bad
+    header, wrong column count, a non-integer or negative label, or a
+    blank text.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"corpus file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -75,6 +73,8 @@ def load_csv(path: str | Path) -> LabeledCorpus:
     except UnicodeDecodeError as err:
         # decoding runs in chunks, so the error's offset need not be the file's
         raise CorpusError(f"{path}: cannot read (not UTF-8, {err.reason})") from None
+    except OSError as err:
+        raise CorpusError(f"{path}: cannot read ({err.strerror})") from None
     if not records:
         raise CorpusError(f"{path}: no data rows after the header")
     num_classes = max(label for _, label in records) + 1

@@ -127,11 +127,16 @@ def parse_variant(entry, where: str, model: ModelConfig) -> VariantSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: must be a JSON object, got {entry!r}")
     name = entry.get("name")
-    # the name becomes a directory under checkpoints/
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+    # the name becomes a directory under checkpoints/; 255 bytes is NAME_MAX
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or any(char in name for char in "/\\\0")
+        or len(name.encode("utf-8")) > 255
+    ):
         raise ConfigError(
-            f"{where}: name must be a nonempty string without '/' or '\\' "
-            f"and not '.' or '..', got {name!r}"
+            f"{where}: name must be a nonempty string of at most 255 UTF-8 bytes "
+            f"without '/', '\\' or NUL and not '.' or '..', got {name!r}"
         )
     where = f"{where} {name!r}"
     kind = entry.get("kind")

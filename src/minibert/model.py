@@ -1,6 +1,5 @@
 """The classifier: summed embeddings, a stack of bidirectional transformer
-encoder layers, and a [CLS]-pooled MLP head, plus the masked-language-model
-corruption procedure used for optional pretraining.
+encoder layers, and a [CLS]-pooled MLP head.
 
 Residual blocks use post-layer-norm ordering.  There is no dropout; given
 fixed seeds every forward pass is bit-deterministic.
@@ -18,20 +17,14 @@ member the last layer is nearly the whole encoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, at_least, check_types, within
-from .tokenizer import (
-    MASK_ID,
-    NUM_SPECIAL_TOKENS,
-    PAD_ID,
-    EncodedExample,
-    Vocabulary,
-)
+from .errors import ConfigError, at_least, check_types
+from .tokenizer import EncodedExample
 
 ATTENTION_MASK_BIAS = -1e9
 # examples per no-grad forward in predict / predict_proba
@@ -335,95 +328,3 @@ def trim_padding(
 
 def example_labels(examples: list[EncodedExample]) -> np.ndarray:
     return np.asarray([e.label for e in examples], dtype=np.int64)
-
-
-# -- masked-language-model corruption -------------------------------------
-
-
-@dataclass
-class MaskingPolicy:
-    """Token-corruption rates: select 15% of eligible positions, then
-    replace with [MASK] 80% of the time, a random content id 10%, and
-    keep the original 10%."""
-
-    # the closed interval admits the degenerate all-or-nothing policies
-    select_rate: Annotated[float, within("[0, 1]")] = 0.15
-    mask_rate: float = 0.80
-    random_rate: float = 0.10
-    keep_rate: float = 0.10
-
-    def __post_init__(self):
-        check_types(type(self), vars(self))
-        total = self.mask_rate + self.random_rate + self.keep_rate
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"mask/random/keep rates must sum to 1, got {total}")
-        if min(self.mask_rate, self.random_rate, self.keep_rate) < 0:
-            raise ConfigError("masking rates must be nonnegative")
-
-
-@dataclass
-class MaskedBatch:
-    """Corrupted input ids plus the positions and original ids to predict."""
-
-    input_ids: np.ndarray
-    target_positions: np.ndarray = field(repr=False)  # (T, 2) of (row, col)
-    target_ids: np.ndarray = field(repr=False)
-
-    @property
-    def num_targets(self) -> int:
-        return len(self.target_ids)
-
-
-def apply_mlm_mask(
-    examples: list[EncodedExample],
-    vocab: Vocabulary,
-    policy: MaskingPolicy,
-    rng_seed: int,
-) -> MaskedBatch:
-    """Corrupt a batch for masked-token prediction, deterministically per seed.
-
-    Eligible positions are content tokens only: special ids (0-4, which
-    includes [CLS], [SEP] and [PAD]) are never selected.  Each eligible
-    position is selected independently with probability ``select_rate``.
-    """
-    if len(vocab) <= NUM_SPECIAL_TOKENS:
-        raise ConfigError(
-            "vocabulary has no content tokens to draw random replacements from"
-        )
-    ids, _, _ = stack_examples(examples)
-    rng = np.random.default_rng(rng_seed)
-    eligible = ids >= NUM_SPECIAL_TOKENS
-    selected = eligible & (rng.random(ids.shape) < policy.select_rate)
-    action = rng.random(ids.shape)
-    random_ids = rng.integers(NUM_SPECIAL_TOKENS, len(vocab), size=ids.shape)
-
-    corrupted = ids.copy()
-    to_mask = selected & (action < policy.mask_rate)
-    to_random = selected & (action >= policy.mask_rate) & (
-        action < policy.mask_rate + policy.random_rate
-    )
-    corrupted[to_mask] = MASK_ID
-    corrupted[to_random] = random_ids[to_random]
-
-    positions = np.argwhere(selected)
-    targets = ids[selected]
-    return MaskedBatch(input_ids=corrupted, target_positions=positions, target_ids=targets)
-
-
-def mlm_pretrain_loss(batch: MaskedBatch, model: ClassifierModel) -> T.Tensor:
-    """Cross-entropy over the vocabulary at masked positions only.
-
-    The decoder is the transpose of the word-embedding table.  An empty
-    target set yields a constant zero loss with no gradient.
-    """
-    if batch.num_targets == 0:
-        return T.Tensor(np.zeros((), dtype=np.float32))
-    segment_ids = np.zeros_like(batch.input_ids)
-    attention_mask = (batch.input_ids != PAD_ID).astype(np.int64)
-    # targets sit on content tokens, which are never PAD, so they survive the trim
-    hidden = model.encode(*trim_padding(batch.input_ids, segment_ids, attention_mask))
-    rows = batch.target_positions[:, 0]
-    cols = batch.target_positions[:, 1]
-    picked = hidden[rows, cols]
-    vocab_logits = picked @ model.params["embed.word"].transpose()
-    return T.cross_entropy(vocab_logits, batch.target_ids)

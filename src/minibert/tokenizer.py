@@ -16,6 +16,7 @@ PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
 CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
+# unused by the classifier, but vocab.txt files and checkpoints fix ids 0-4
 MASK_TOKEN = "[MASK]"
 SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN)
 

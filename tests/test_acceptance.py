@@ -1,6 +1,6 @@
 """Acceptance suite.
 
-Nine criteria, each asserted at its stated tolerance and reported as one
+Eight criteria, each asserted at its stated tolerance and reported as one
 printed pass/fail line (visible with ``pytest -s`` or on failure):
 
 1. metrics() reproduces the reference confusion-matrix arithmetic (5e-5).
@@ -9,8 +9,8 @@ printed pass/fail line (visible with ``pytest -s`` or on failure):
 3. compare_report reproduces the reference relative gaps (0.01 pp).
 4. every differentiable op and the full single-layer classifier pass
    central finite-difference checks (rtol 1e-3, atol 1e-6, 5 seeds).
-5. the masking distribution hits 0.15 +- 0.005 selection and
-   0.80/0.10/0.10 +- 0.01 conditional rates over >= 100k positions.
+5. retired, together with the masked-token pretraining code it tested;
+   the numbers stay, so that each criterion keeps naming the same test.
 6. majority voting matches exhaustive enumeration (N <= 5, classes <= 3)
    and both voting rules are member-permutation invariant.
 7. the desk-scale experiment trains three accurate members whose majority
@@ -40,14 +40,8 @@ from minibert.evaluation import (
     relative_overhead,
     round_half_up,
 )
-from minibert.model import (
-    MaskingPolicy,
-    ModelConfig,
-    apply_mlm_mask,
-    init_model,
-    stack_examples,
-)
-from minibert.tokenizer import MASK_ID, build_vocab, encode
+from minibert.model import ModelConfig, init_model, stack_examples
+from minibert.tokenizer import build_vocab, encode
 from minibert.training import TrainConfig, accuracy, split_dataset, train
 from _oracles import assert_grads_close, brute_force_vote, numeric_gradient
 
@@ -214,34 +208,6 @@ def test_criterion_4_gradient_correctness():
             for name, param in model.named_parameters():
                 fd = numeric_gradient(lambda: loss().item(), param.data)
                 assert_grads_close(param.grad, fd)
-
-
-def test_criterion_5_masking_distribution():
-    with criterion(5, "masking distribution"):
-        words = [f"word{i}" for i in range(995)]
-        vocab = build_vocab([" ".join(words)], max_size=1000)
-        rng = np.random.default_rng(17)
-        texts = [
-            " ".join(words[i] for i in rng.integers(0, len(words), size=62))
-            for _ in range(1700)
-        ]
-        examples = [encode(t, vocab, 64) for t in texts]
-        ids, _, _ = stack_examples(examples)
-        eligible = int((ids >= 5).sum())
-        assert eligible >= 100_000
-
-        batch = apply_mlm_mask(examples, vocab, MaskingPolicy(), rng_seed=99)
-        selected = batch.num_targets
-        assert abs(selected / eligible - 0.15) <= 0.005
-
-        originals = batch.target_ids
-        corrupted = batch.input_ids[batch.target_positions[:, 0], batch.target_positions[:, 1]]
-        masked = int((corrupted == MASK_ID).sum())
-        kept = int((corrupted == originals).sum())
-        randomized = selected - masked - kept
-        assert abs(masked / selected - 0.80) <= 0.01
-        assert abs(randomized / selected - 0.10) <= 0.01
-        assert abs(kept / selected - 0.10) <= 0.01
 
 
 def test_criterion_6_voting_oracle():

@@ -346,14 +346,27 @@ class TestConfigRejectedBeforeAnyWork:
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, repr(variant), key, repr(value))
 
-    @pytest.mark.parametrize("name", [[1], "", ".", "..", "../x", "a/b", "a\\b", 7])
+    @pytest.mark.parametrize(
+        "name",
+        [[1], "", ".", "..", "../x", "a/b", "a\\b", 7, "a\0b",
+         pytest.param("é" * 128, id="256-utf8-bytes")],
+    )
     def test_bad_variant_name(self, tmp_path, capsys, name):
-        """Only a plain directory name is accepted, also after a good variant."""
+        """Only a plain directory name is accepted, also after a good variant;
+        the longest is 255 bytes (NAME_MAX)."""
         raw = tiny_config_dict(tmp_path / "runs")
         raw["variants"][1]["name"] = name
         config_path = tmp_path / "experiment.json"
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, "variants[1]", "name", repr(name))
+
+    def test_longest_variant_name_is_a_checkpoint_directory(self, tmp_path):
+        name = "é" * 127 + "x"  # 255 UTF-8 bytes
+        raw = tiny_config_dict(tmp_path / "runs")
+        raw["train"]["epochs"] = 1
+        raw["variants"] = [{"name": name, "kind": "single", "num_layers": 1}]
+        result = run_experiment(parse_experiment_config(raw))
+        assert (result.run_dir / "checkpoints" / name / "params.bin").is_file()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -976,6 +989,23 @@ class TestFailurePath:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list((tmp_path / "runs").glob("run-*"))
+
+    @pytest.mark.parametrize("made", [False, True], ids=["missing", "directory"])
+    def test_unreadable_corpus_exits_two(self, tmp_path, capsys, made):
+        """``eval`` fails on the CSV before it opens the checkpoint, and
+        ``run`` before it creates a run directory."""
+        corpus_path = tmp_path / "d.csv"
+        if made:
+            corpus_path.mkdir()
+        config_path = tiny_config(tmp_path, corpus={"path": str(corpus_path)})
+        for argv in (["eval", str(tmp_path / "no-checkpoint"), str(corpus_path)],
+                     ["run", str(config_path), "--quiet"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {corpus_path}: cannot read (")
+            assert err.count("\n") == 1
         assert not list((tmp_path / "runs").glob("run-*"))
 
     def test_tiny_minutes_print_a_large_ratio(self, capsys):

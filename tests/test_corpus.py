@@ -3,6 +3,7 @@ trips on randomized corpora, and synthetic generation checked by a
 bag-of-words separability oracle."""
 
 import random
+import re
 
 import pytest
 
@@ -44,8 +45,15 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "absent.csv")
+        path = tmp_path / "absent.csv"
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: cannot read \(.+\)$"):
+            load_csv(path)
+
+    def test_directory_is_unreadable(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.mkdir()
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: cannot read \(.+\)$"):
+            load_csv(path)
 
     @pytest.mark.parametrize("rows_before", [0, 5000])
     def test_non_utf8_bytes_name_the_file(self, tmp_path, rows_before):

@@ -15,7 +15,7 @@ from minibert.corpus import SyntheticSpec
 from minibert.ensemble import EnsembleConfig
 from minibert.errors import ConfigError, Range, within
 from minibert.experiment import TokenizerConfig, VariantSpec
-from minibert.model import MaskingPolicy, ModelConfig
+from minibert.model import ModelConfig
 from minibert.training import TrainConfig
 
 TINY = math.ulp(0.0)
@@ -52,8 +52,6 @@ BOUNDS = [
     (ENSEMBLE, "n_members", 0, 1, "n_members must be >= 1, got 0"),
     ((VariantSpec, {"name": "v"}), "num_layers", 0, 1, "num_layers must be >= 1, got 0"),
     (SYNTHETIC, "noise_rate", 1.0, BELOW_ONE, "noise_rate must lie in [0, 1), got 1.0"),
-    ((MaskingPolicy, {}), "select_rate", ABOVE_ONE, 1.0,
-     "select_rate must lie in [0, 1], got 1.0000000000000002"),
 ]
 
 
@@ -88,11 +86,7 @@ class TestDeclaredRanges:
                 if dataclasses.is_dataclass(owner) and owner.__module__ == module.__name__:
                     declared |= {(owner, name) for name in declared_ranges(owner)}
         assert {(owner, field) for (owner, _), field, *_ in BOUNDS} == declared
-        assert len(BOUNDS) == 22
-
-    def test_masking_policy_checks_types(self):
-        with pytest.raises(ConfigError, match=r"^select_rate must be a finite number, got '0.5'$"):
-            MaskingPolicy(select_rate="0.5")
+        assert len(BOUNDS) == 21
 
     def test_ranges_follow_every_type_check(self):
         """A wrong type is reported before an out-of-range value that

@@ -2,7 +2,7 @@
 counts, embedding sums, a step-by-step scalar recomputation of one
 encoder layer, [CLS]-head classification properties, the [CLS]-only
 inference path against the full-width forward, length-sorted prediction
-chunks, padding isolation, and the masked-token corruption procedure."""
+chunks, and padding isolation."""
 
 import dataclasses
 import math
@@ -16,18 +16,14 @@ from minibert.errors import ConfigError
 from minibert.model import (
     ATTENTION_MASK_BIAS,
     ClassifierModel,
-    MaskedBatch,
-    MaskingPolicy,
     ModelConfig,
-    apply_mlm_mask,
     init_model,
-    mlm_pretrain_loss,
     parameter_count,
     parameter_shapes,
     stack_examples,
     trim_padding,
 )
-from minibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode
+from minibert.tokenizer import build_vocab, encode
 from _oracles import (
     full_layer_logits,
     reference_softmax,
@@ -478,146 +474,3 @@ class TestTrimPadding:
             np.testing.assert_allclose(grads[1][name], grads[0][name], atol=1e-6, err_msg=name)
         for g in grads:
             assert np.all(g["embed.position"][width:] == 0.0)
-
-    def test_mlm_loss_equals_untrimmed(self, vocab, monkeypatch):
-        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab), init_seed=3))
-        examples = batch_for(["alpha beta gamma", "delta"], vocab)
-        batch = apply_mlm_mask(examples, vocab, MaskingPolicy(select_rate=0.5), rng_seed=11)
-        assert batch.num_targets > 0
-        trimmed = mlm_pretrain_loss(batch, model).item()
-        monkeypatch.setattr(model_module, "trim_padding", lambda *arrays: arrays)
-        untrimmed = mlm_pretrain_loss(batch, model).item()
-        assert abs(trimmed - untrimmed) < 1e-6
-
-
-class TestMaskingPolicy:
-    def test_defaults_valid(self):
-        policy = MaskingPolicy()
-        assert policy.select_rate == 0.15
-
-    def test_rates_must_sum_to_one(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            MaskingPolicy(mask_rate=0.9, random_rate=0.2, keep_rate=0.1)
-
-    def test_select_rate_bounds(self):
-        with pytest.raises(ConfigError, match="select_rate"):
-            MaskingPolicy(select_rate=1.5)
-
-
-class TestApplyMlmMask:
-    def test_zero_select_rate_changes_nothing(self, vocab):
-        examples = batch_for(["alpha beta gamma", "delta epsilon"], vocab)
-        batch = apply_mlm_mask(examples, vocab, MaskingPolicy(select_rate=0.0), rng_seed=1)
-        ids, _, _ = stack_examples(examples)
-        assert np.array_equal(batch.input_ids, ids)
-        assert batch.num_targets == 0
-
-    def test_full_selection_full_mask(self, vocab):
-        examples = batch_for(["alpha beta gamma delta"], vocab)
-        policy = MaskingPolicy(select_rate=1.0, mask_rate=1.0, random_rate=0.0, keep_rate=0.0)
-        batch = apply_mlm_mask(examples, vocab, policy, rng_seed=2)
-        ids, _, _ = stack_examples(examples)
-        eligible = ids >= 5
-        assert np.array_equal(batch.input_ids[eligible], np.full(eligible.sum(), MASK_ID))
-        assert np.array_equal(batch.input_ids[~eligible], ids[~eligible])
-
-    def test_targets_never_on_specials_and_only_selected_change(self, vocab):
-        examples = batch_for(
-            ["alpha beta gamma delta epsilon zeta"] * 20, vocab, max_seq_len=12
-        )
-        ids, _, _ = stack_examples(examples)
-        for seed in range(5):
-            batch = apply_mlm_mask(examples, vocab, MaskingPolicy(), rng_seed=seed)
-            selected = np.zeros(ids.shape, dtype=bool)
-            for row, col in batch.target_positions:
-                selected[row, col] = True
-                assert ids[row, col] not in (CLS_ID, SEP_ID, PAD_ID)
-                assert ids[row, col] >= 5
-            assert np.array_equal(batch.input_ids[~selected], ids[~selected])
-            np.testing.assert_array_equal(batch.target_ids, ids[selected])
-
-    def test_deterministic_per_seed(self, vocab):
-        examples = batch_for(["alpha beta gamma"], vocab)
-        one = apply_mlm_mask(examples, vocab, MaskingPolicy(), rng_seed=42)
-        two = apply_mlm_mask(examples, vocab, MaskingPolicy(), rng_seed=42)
-        assert np.array_equal(one.input_ids, two.input_ids)
-        assert np.array_equal(one.target_positions, two.target_positions)
-
-    def test_tiny_vocab_rejected(self):
-        from minibert.tokenizer import Vocabulary, SPECIAL_TOKENS
-        bare = Vocabulary(list(SPECIAL_TOKENS))
-        with pytest.raises(ConfigError, match="content tokens"):
-            apply_mlm_mask(
-                [encode("x", bare, 4)], bare, MaskingPolicy(), rng_seed=0
-            )
-
-
-class TestMlmPretrainLoss:
-    def test_uniform_logits_give_log_vocab_size(self, vocab):
-        config = dataclasses.replace(
-            TINY, vocab_size=len(vocab), init_scale=0.0, init_seed=5
-        )
-        model = init_model(config)
-        examples = batch_for(["alpha beta gamma"], vocab)
-        ids, _, _ = stack_examples(examples)
-        batch = MaskedBatch(
-            input_ids=ids.copy(),
-            target_positions=np.array([[0, 2]]),
-            target_ids=np.array([ids[0, 2]]),
-        )
-        loss = mlm_pretrain_loss(batch, model)
-        assert abs(loss.item() - math.log(len(vocab))) < 1e-5
-
-    def test_confident_model_near_zero_loss(self, vocab):
-        config = dataclasses.replace(
-            TINY, vocab_size=len(vocab), init_scale=0.0, init_seed=5
-        )
-        model = init_model(config)
-        target_id = vocab.token_to_id["beta"]
-        # final layer-norm bias fixes every hidden row to e0; the decoder row
-        # for the target id then contributes logit 20, everything else 0
-        model.params["layer0.ln2_b"].data[0] = 1.0
-        model.params["embed.word"].data[target_id, 0] = 20.0
-
-        examples = batch_for(["alpha beta gamma"], vocab)
-        ids, _, _ = stack_examples(examples)
-        masked = ids.copy()
-        masked[0, 2] = MASK_ID
-        batch = MaskedBatch(
-            input_ids=masked,
-            target_positions=np.array([[0, 2]]),
-            target_ids=np.array([target_id]),
-        )
-        loss = mlm_pretrain_loss(batch, model)
-        assert loss.item() < 1e-3
-
-    def test_empty_targets_zero_loss_no_gradient(self, vocab):
-        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
-        batch = MaskedBatch(
-            input_ids=np.array([[CLS_ID, SEP_ID, PAD_ID, PAD_ID]]),
-            target_positions=np.zeros((0, 2), dtype=np.int64),
-            target_ids=np.zeros(0, dtype=np.int64),
-        )
-        loss = mlm_pretrain_loss(batch, model)
-        assert loss.item() == 0.0
-        assert not loss.requires_grad
-
-    def test_gradients_match_finite_differences(self, vocab):
-        from _oracles import assert_grads_close, numeric_gradient
-
-        config = dataclasses.replace(TINY, vocab_size=len(vocab), init_seed=3)
-        model = init_model(config, dtype=np.float64)
-        examples = batch_for(["alpha beta gamma", "delta epsilon"], vocab)
-        batch = apply_mlm_mask(
-            examples, vocab, MaskingPolicy(select_rate=0.5), rng_seed=11
-        )
-        assert batch.num_targets > 0
-        mlm_pretrain_loss(batch, model).backward()
-
-        def loss():
-            return mlm_pretrain_loss(batch, model).item()
-
-        for name in ("embed.word", "layer0.q_w", "layer0.ff1_w", "layer0.ln2_b"):
-            assert_grads_close(
-                model.params[name].grad, numeric_gradient(loss, model.params[name].data)
-            )
