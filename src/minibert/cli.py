@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -25,15 +24,11 @@ from .errors import CheckpointError, ConfigError, CorpusError, read_json
 from .evaluation import METRIC_NAMES, ConfusionMatrix, accuracy_per_minute, metrics, rounded
 from .experiment import load_experiment_config, parse_synthetic_spec, run_experiment
 from .tokenizer import encode
+from .training import pin_allocator
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 32 * 1024 * 1024  # the ceiling of glibc's dynamic threshold
-TRIM_THRESHOLD = 1024 * 1024 * 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,29 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("out", help="output CSV path")
 
     return parser
-
-
-def pin_allocator() -> dict | None:
-    """Fix glibc's allocator in the state its dynamic thresholds drift to.
-
-    glibc serves a large block from fresh mmapped pages until one such
-    block is freed, then raises its mmap threshold and serves blocks from
-    the heap, trimming the heap top when enough of it is free.  Left
-    alone, whether a training step's temporaries land on retained heap
-    pages or on freshly mapped ones depends on what the process allocated
-    before, and so does the step time a run records.  Returns the
-    settings, or None where glibc's ``mallopt`` is not available.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # TypeError: Windows loads no CDLL(None)
-        return None
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    if (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 1
-            or mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) != 1):
-        return None
-    return {"M_MMAP_THRESHOLD": MMAP_THRESHOLD, "M_TRIM_THRESHOLD": TRIM_THRESHOLD}
 
 
 def main(argv: list[str] | None = None) -> int:

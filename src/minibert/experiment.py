@@ -132,6 +132,8 @@ def parse_variant(entry, where: str, model: ModelConfig) -> VariantSpec:
         not isinstance(name, str)
         or name in ("", ".", "..")
         or any(char in name for char in "/\\\0")
+        # a lone surrogate, as JSON's "\ud800" escape gives, has no UTF-8 form
+        or any("\ud800" <= char <= "\udfff" for char in name)
         or len(name.encode("utf-8")) > 255
     ):
         raise ConfigError(

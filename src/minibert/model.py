@@ -7,11 +7,13 @@ fixed seeds every forward pass is bit-deterministic.
 Inference (under ``tensor.no_grad()``) computes only what the logits
 depend on: the last layer runs for the [CLS] query row alone, and
 ``predict`` / ``predict_proba`` run examples shortest first in trimmed
-chunks.  Logits move at float rounding level only, so a label can differ
-from the full layer's only at a near-tie.  Training keeps every layer at
-every position, so trained weights stay bit for bit, and so does the cost
-of the ensemble's and the deep model's training steps: for a 1-layer
-member the last layer is nearly the whole encoder.
+chunks, each capped by rows and by padded positions so that wide texts
+take narrower chunks and smaller activations.  Logits move at float
+rounding level only, so a label can differ from the full layer's only at
+a near-tie.  Training keeps every layer at every position, so trained
+weights stay bit for bit, and so does the cost of the ensemble's and the
+deep model's training steps: for a 1-layer member the last layer is
+nearly the whole encoder.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .errors import ConfigError, at_least, check_types
 from .tokenizer import EncodedExample
 
 ATTENTION_MASK_BIAS = -1e9
-# examples per no-grad forward in predict / predict_proba
+# examples, and padded positions (rows x trimmed width), per no-grad
+# forward in predict / predict_proba
 PREDICT_BATCH_SIZE = 64
+PREDICT_POSITIONS = 2048
 
 
 @dataclass
@@ -260,18 +264,30 @@ class ClassifierModel:
     def _fill(self, out: np.ndarray, examples, head) -> np.ndarray:
         """Write ``head(logits)`` row by row into ``out``, in input order.
 
-        Examples run shortest first in chunks of ``PREDICT_BATCH_SIZE``, so
-        each trimmed chunk holds texts of similar length and little padding.
+        Examples run shortest first, so each trimmed chunk holds texts of
+        similar length and little padding.  Each chunk grows greedily up to
+        ``PREDICT_BATCH_SIZE`` rows and ``PREDICT_POSITIONS`` padded
+        positions, rows times the width ``trim_padding`` cuts the chunk
+        to; a row wider than that runs alone.  A row with no attended
+        position counts at full width, as ``trim_padding`` leaves it.
         """
         if not len(examples):
             return out
         inputs = as_stacked(examples)
         ids, segs, mask = inputs.token_ids, inputs.segment_ids, inputs.attention_mask
         order = np.argsort(mask.sum(axis=1), kind="stable")
+        # each row's width after trimming: one past its last attended column
+        widths = (mask.shape[1] - np.argmax(mask[:, ::-1] != 0, axis=1))[order]
+        start = 0
         with T.no_grad():
-            for start in range(0, len(order), PREDICT_BATCH_SIZE):
-                rows = order[start : start + PREDICT_BATCH_SIZE]
+            while start < len(order):
+                # padded positions of the chunk's first k rows, nondecreasing in k
+                grown = np.maximum.accumulate(widths[start : start + PREDICT_BATCH_SIZE])
+                grown *= np.arange(1, len(grown) + 1)
+                end = start + max(1, int(np.count_nonzero(grown <= PREDICT_POSITIONS)))
+                rows = order[start:end]
                 out[rows] = head(self.forward(*trim_padding(ids[rows], segs[rows], mask[rows])))
+                start = end
         return out
 
 

@@ -7,6 +7,7 @@ a training run reproduces the final parameters bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,6 +19,11 @@ from . import tensor as T
 from .errors import ConfigError, TrainingError, above, at_least, check_types, within
 from .model import ClassifierModel, StackedExamples, as_stacked, trim_padding
 from .tokenizer import EncodedExample
+
+M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 * 1024 * 1024  # the ceiling of glibc's dynamic threshold
+TRIM_THRESHOLD = 1024 * 1024 * 1024
 
 
 @dataclass
@@ -136,6 +142,29 @@ class Adam:
         self.data -= step
 
 
+def pin_allocator() -> dict | None:
+    """Fix glibc's allocator in the state its dynamic thresholds drift to.
+
+    glibc serves a large block from fresh mmapped pages until one such
+    block is freed, then raises its mmap threshold and serves blocks from
+    the heap, trimming the heap top when enough of it is free.  Left
+    alone, whether a training step's temporaries land on retained heap
+    pages or on freshly mapped ones depends on what the process allocated
+    before, and so does the step time a run records.  Returns the
+    settings, or None where glibc's ``mallopt`` is not available.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows loads no CDLL(None)
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 1
+            or mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) != 1):
+        return None
+    return {"M_MMAP_THRESHOLD": MMAP_THRESHOLD, "M_TRIM_THRESHOLD": TRIM_THRESHOLD}
+
+
 def accuracy(model: ClassifierModel, examples: list[EncodedExample] | StackedExamples) -> float:
     """Fraction of examples whose argmax logit matches the label."""
     if not len(examples):
@@ -159,12 +188,17 @@ def train(
     partial batch is kept), then measures validation accuracy.  Every batch
     is trimmed to its longest real sequence before the forward pass (see
     ``trim_padding``).  A batch loss that is not finite stops training
-    with a ``TrainingError`` before the update is applied.  Wall-clock
-    time covers this call only.  When ``log_stream`` is given, one
-    structured ``key=value`` line is written per epoch.
+    with a ``TrainingError`` before the update is applied.  Once a batch's
+    loss value is read, nothing refers to its autodiff graph any more, so
+    at most one step's activations are alive at a forward pass and none
+    during validation.  The allocator is pinned first (``pin_allocator``),
+    so freeing each graph reuses the same heap pages step after step.
+    Wall-clock time covers this call only.  When ``log_stream`` is given,
+    one structured ``key=value`` line is written per epoch.
     """
     if not train_set or not val_set:
         raise ValueError("train() requires nonempty train and validation sets")
+    pin_allocator()
     started = time.perf_counter()
     optimizer = Adam(
         model.flat,
@@ -187,8 +221,10 @@ def train(
             try:
                 # a diverging run overflows to inf and nan; the loss check reports it
                 with np.errstate(over="ignore", invalid="ignore"):
-                    logits = model.forward(*trim_padding(ids[picked], segs[picked], mask[picked]))
-                    loss = T.cross_entropy(logits, inputs.labels[picked])
+                    loss = T.cross_entropy(
+                        model.forward(*trim_padding(ids[picked], segs[picked], mask[picked])),
+                        inputs.labels[picked],
+                    )
                     if not np.isfinite(loss.data):
                         raise TrainingError(f"loss is {loss.item()}, training diverged")
                     model.zero_grad()
@@ -199,6 +235,7 @@ def train(
                     f"epoch {epoch + 1}, batch {batch_index}: {err}"
                 ) from err
             loss_total += loss.item() * len(picked)
+            del loss  # frees this step's graph before the next forward
         validation_started = time.perf_counter()
         val_accuracy = accuracy(model, val_inputs)
         finished = time.perf_counter()

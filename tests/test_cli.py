@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import minibert.cli as cli_module
 import minibert.model as model_module
+import minibert.training as training_module
 from minibert.checkpoint import load_ensemble
 from minibert.cli import main
 from minibert.corpus import LabeledCorpus, generate_synthetic, load_csv, save_csv
@@ -349,7 +350,8 @@ class TestConfigRejectedBeforeAnyWork:
     @pytest.mark.parametrize(
         "name",
         [[1], "", ".", "..", "../x", "a/b", "a\\b", 7, "a\0b",
-         pytest.param("é" * 128, id="256-utf8-bytes")],
+         pytest.param("é" * 128, id="256-utf8-bytes"),
+         pytest.param("\ud800", id="lone-surrogate")],
     )
     def test_bad_variant_name(self, tmp_path, capsys, name):
         """Only a plain directory name is accepted, also after a good variant;
@@ -1024,9 +1026,12 @@ class TestFailurePath:
 
 
 class TestAllocatorPin:
+    """``training.pin_allocator`` is the one implementation; ``main`` calls
+    it for every command, and ``train`` again for library callers."""
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_glibc_takes_the_settings(self):
-        assert cli_module.pin_allocator() == {
+        assert training_module.pin_allocator() == {
             "M_MMAP_THRESHOLD": 32 * 1024 * 1024, "M_TRIM_THRESHOLD": 1024 * 1024 * 1024
         }
 
@@ -1037,8 +1042,8 @@ class TestAllocatorPin:
         assert calls == [0]
 
     def test_without_mallopt_nothing_is_pinned_and_main_runs(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli_module.ctypes, "CDLL", lambda name: types.SimpleNamespace())
-        assert cli_module.pin_allocator() is None
+        monkeypatch.setattr(training_module.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert training_module.pin_allocator() is None
         assert main(["metrics", "1", "2", "3", "4"]) == 0
         assert capsys.readouterr().out.startswith("accuracy")
 

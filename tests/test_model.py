@@ -397,27 +397,46 @@ class TestClsOnlyInference:
 
 class TestPredict:
     def test_rows_return_in_input_order_from_length_sorted_chunks(self, vocab, monkeypatch):
+        """Chunks run shortest first and grow greedily: at most 64 rows and
+        at most 2048 padded positions each, and one more row would break
+        a limit; rows still come back in input order."""
         model = init_model(dataclasses.replace(
-            TINY, vocab_size=len(vocab), hidden_dim=8, ff_dim=16, num_classes=3, init_scale=0.5,
+            TINY, vocab_size=len(vocab), hidden_dim=8, ff_dim=16, max_seq_len=64,
+            num_classes=3, init_scale=1.0,
         ))
         rng = np.random.default_rng(0)
         words = "alpha beta gamma delta epsilon zeta".split()
-        texts = [" ".join(rng.choice(words, size=rng.integers(1, 7))) for _ in range(150)]
-        examples = batch_for(texts, vocab)
-        assert len(examples) > 2 * model_module.PREDICT_BATCH_SIZE
+        short = [" ".join(rng.choice(words, size=rng.integers(1, 7))) for _ in range(150)]
+        # 20 to 80 words: widths from 22 up to the 64-token cap, most of them at 64
+        long = [" ".join(rng.choice(words, size=rng.integers(20, 81))) for _ in range(100)]
+        examples = batch_for(short + long, vocab, max_seq_len=64)
+        batch, positions = model_module.PREDICT_BATCH_SIZE, model_module.PREDICT_POSITIONS
+        assert (batch, positions) == (64, 2048)
 
-        widths = []
+        chunks = []  # (rows, trimmed width, shortest row's real tokens) per forward
         forward = model.forward
 
         def recording_forward(token_ids, segment_ids, attention_mask):
-            widths.append(attention_mask.shape[1])
+            chunks.append((len(attention_mask), attention_mask.shape[1],
+                           int(attention_mask.sum(axis=1).min())))
             return forward(token_ids, segment_ids, attention_mask)
 
         monkeypatch.setattr(model, "forward", recording_forward)
+        model.predict(examples[:150])
+        assert [rows for rows, _, _ in chunks] == [64, 64, 22]
+        chunks.clear()
         labels = model.predict(examples)
-        assert widths == sorted(widths) and widths[0] < widths[-1]
+        assert sum(rows for rows, _, _ in chunks) == len(examples)
+        widths = [width for _, width, _ in chunks]
+        assert widths == sorted(widths) and widths[0] < 10 and widths[-1] == 64
+        assert all(rows <= batch and rows * width <= positions for rows, width, _ in chunks)
+        for (rows, width, _), (_, _, next_shortest) in zip(chunks, chunks[1:]):
+            # the masks are contiguous, so the next row's width is its token count
+            assert rows == batch or (rows + 1) * max(width, next_shortest) > positions
+        assert (32, 64) in [chunk[:2] for chunk in chunks]
+
         probs = model.predict_proba(examples)
-        assert len(set(labels.tolist())) > 1
+        assert len(set(labels[:150].tolist())) > 1 and len(set(labels[150:].tolist())) > 1
         with T.no_grad():
             singles = np.concatenate([model.logits([e]).data for e in examples])
         np.testing.assert_allclose(probs, reference_softmax(singles), rtol=0, atol=1e-6)
@@ -427,6 +446,26 @@ class TestPredict:
         permuted = [examples[i] for i in order]
         assert np.array_equal(model.predict(permuted), labels[order])
         np.testing.assert_allclose(model.predict_proba(permuted), probs[order], rtol=0, atol=1e-6)
+
+    def test_a_row_wider_than_the_position_cap_runs_alone(self, vocab, monkeypatch):
+        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
+        examples = batch_for(["alpha", "alpha beta", "alpha beta gamma delta epsilon"], vocab)
+        rows = []
+        forward = model.forward
+
+        def recording_forward(token_ids, segment_ids, attention_mask):
+            rows.append((len(attention_mask), attention_mask.shape[1]))
+            return forward(token_ids, segment_ids, attention_mask)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(model_module, "PREDICT_POSITIONS", 6)
+        model.predict(examples)
+        # widths 3, 4 and 7: 2 x 4 = 8 positions is over the cap, and 7 alone is too
+        assert rows == [(1, 3), (1, 4), (1, 7)]
+        monkeypatch.setattr(model_module, "PREDICT_POSITIONS", 8)
+        rows.clear()
+        model.predict(examples)
+        assert rows == [(2, 4), (1, 7)]
 
 
 class TestTrimPadding:

@@ -4,11 +4,14 @@ end-to-end reproducibility, and learning on a separable synthetic corpus."""
 
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import minibert.model as model_module
+import minibert.training as training_module
+from minibert import tensor as T
 from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.errors import ConfigError, TrainingError
 from minibert.model import ModelConfig, init_model
@@ -279,6 +282,44 @@ class TestTrain:
         model.forward = recording_forward
         train(model, train_set, val_set, TrainConfig(epochs=1))
         assert max(widths) < config.max_seq_len
+
+    def test_no_earlier_step_graph_is_alive_at_a_forward(self, separable_setup):
+        """Each step's graph is freed once its loss is read: no earlier
+        training logits survive to the next training forward or to any
+        validation forward."""
+        config, train_set, val_set = separable_setup
+        model = init_model(config)
+        steps = []  # weak references to each training forward's logits
+        alive = []  # (training?, earlier training logits alive) per forward
+        forward = model.forward
+
+        def recording_forward(token_ids, segment_ids, attention_mask):
+            alive.append((T.grad_enabled(), sum(ref() is not None for ref in steps)))
+            logits = forward(token_ids, segment_ids, attention_mask)
+            if T.grad_enabled():
+                # Tensor has no __weakref__ slot; its ndarray does
+                steps.append(weakref.ref(logits.data))
+            return logits
+
+        model.forward = recording_forward
+        # 20 examples in batches of 8: three steps, then validation, per epoch
+        train(model, train_set[:20], val_set, TrainConfig(epochs=2, batch_size=8))
+        assert alive == [(True, 0)] * 3 + [(False, 0)] + [(True, 0)] * 3 + [(False, 0)]
+
+    def test_train_pins_the_allocator_before_its_first_step(self, separable_setup, monkeypatch):
+        config, train_set, val_set = separable_setup
+        model = init_model(config)
+        events = []
+        forward = model.forward
+
+        def recording_forward(*args):
+            events.append("forward")
+            return forward(*args)
+
+        model.forward = recording_forward
+        monkeypatch.setattr(training_module, "pin_allocator", lambda: events.append("pin"))
+        train(model, train_set[:20], val_set, TrainConfig(epochs=1, batch_size=8))
+        assert events == ["pin"] + ["forward"] * 4
 
     def test_each_set_is_stacked_once_per_call(self, separable_setup, monkeypatch):
         config, train_set, val_set = separable_setup
