@@ -7,8 +7,8 @@ and ``vocab.txt``.  An ensemble checkpoint is a directory of member
 checkpoints ``member-00``, ``member-01``, ... plus ``ensemble.json``.  A
 save writes the manifest that ``_model_manifest`` or ``_ensemble_manifest``
 builds from its config, and a load rejects any manifest that differs from
-that of the config it holds.  ``save_checkpoint`` and ``load_checkpoint``
-pick the format for the caller.
+that of the config it holds, and any non-finite weight.
+``save_checkpoint`` and ``load_checkpoint`` pick the format for the caller.
 
 Saving removes the old manifest first and writes the new one last;
 ``params.bin`` and the manifests go to a temporary name that
@@ -18,7 +18,6 @@ therefore leaves no manifest that loads.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
@@ -28,7 +27,7 @@ from reprlib import repr as _short
 import numpy as np
 
 from .ensemble import EnsembleConfig, EnsembleModel
-from .errors import CheckpointError, ConfigError, read_section
+from .errors import CheckpointError, ConfigError, json_text, read_input, read_json, read_section
 from .model import ClassifierModel, ModelConfig, parameter_count, parameter_shapes
 from .tokenizer import Vocabulary
 
@@ -73,10 +72,6 @@ def _write_atomic(path: Path, payload: bytes) -> None:
         temporary.unlink(missing_ok=True)
 
 
-def _manifest_bytes(manifest: dict) -> bytes:
-    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -84,7 +79,7 @@ def save_model(model: ClassifierModel, directory: str | Path, vocab: Vocabulary)
     manifest = _model_manifest(model.config)
     vocab.save(directory / VOCAB_FILE)
     _write_atomic(directory / PARAMS_FILE, model.flat.astype(_PARAM_DTYPE).tobytes())
-    _write_atomic(directory / MODEL_MANIFEST, _manifest_bytes(manifest))
+    _write_atomic(directory / MODEL_MANIFEST, json_text(manifest).encode("utf-8"))
     return directory
 
 
@@ -97,14 +92,9 @@ def _defects_of(path: Path):
         raise CheckpointError(f"{path}: {err}") from None
 
 
-def _read_manifest(path: Path, kind: str) -> dict:
+def _read_manifest(path: Path) -> dict:
     """Parse a checkpoint manifest; any defect is a ``CheckpointError``."""
-    if not path.exists():
-        raise CheckpointError(f"no {kind} manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # a UnicodeDecodeError too: JSON text is UTF-8
-        raise CheckpointError(f"{path}: invalid JSON ({err})") from err
+    manifest = read_json(path, CheckpointError)
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     return manifest
@@ -133,7 +123,7 @@ def _require_saved(found, saved, read_from: dict, where: str = "manifest") -> No
 def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / MODEL_MANIFEST
-    manifest = _read_manifest(manifest_path, "model")
+    manifest = _read_manifest(manifest_path)
     with _defects_of(manifest_path):
         config = read_section(
             ModelConfig, manifest.get("config"), "manifest.config", all_required=True
@@ -141,18 +131,21 @@ def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
         _require_saved(manifest, _model_manifest(config), manifest["config"])
 
     params_path = directory / PARAMS_FILE
-    raw = params_path.read_bytes()
+    raw = read_input(params_path, CheckpointError, binary=True)
     size = parameter_count(config) * _PARAM_DTYPE.itemsize
     if len(raw) != size:
         raise CheckpointError(f"{params_path}: has {len(raw)} bytes, manifest requires {size}")
-    flat = np.frombuffer(raw, dtype=_PARAM_DTYPE).astype(np.float32)
+    model = ClassifierModel(config, np.frombuffer(raw, dtype=_PARAM_DTYPE).astype(np.float32))
+    if not np.isfinite(model.flat).all():
+        name = next(n for n, p in model.named_parameters() if not np.isfinite(p.data).all())
+        raise CheckpointError(f"{params_path}: parameter {name!r} holds a non-finite value")
 
     vocab_path = directory / VOCAB_FILE
     with _defects_of(vocab_path):
-        vocab = Vocabulary.load(vocab_path)
+        vocab = Vocabulary(read_input(vocab_path, CheckpointError).splitlines())
     if len(vocab) != config.vocab_size:
         raise CheckpointError(f"{vocab_path}: {len(vocab)} tokens, config has {config.vocab_size}")
-    return ClassifierModel(config, flat), vocab
+    return model, vocab
 
 
 def save_ensemble(
@@ -164,14 +157,14 @@ def save_ensemble(
     manifest = _ensemble_manifest(ensemble.config)
     for member, member_dir in zip(ensemble.members, manifest["members"]):
         save_model(member, directory / member_dir, vocab)
-    _write_atomic(directory / ENSEMBLE_MANIFEST, _manifest_bytes(manifest))
+    _write_atomic(directory / ENSEMBLE_MANIFEST, json_text(manifest).encode("utf-8"))
     return directory
 
 
 def load_ensemble(directory: str | Path) -> tuple[EnsembleModel, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / ENSEMBLE_MANIFEST
-    manifest = _read_manifest(manifest_path, "ensemble")
+    manifest = _read_manifest(manifest_path)
     first_dir = directory / _MEMBER_DIR.format(0)
     first, vocab = load_model(first_dir)
     section = {f.name: manifest[f.name] for f in fields(EnsembleConfig) if f.name in manifest}

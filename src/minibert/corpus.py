@@ -10,13 +10,14 @@ perfectly separable by a bag-of-words rule.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError, check_types, within
+from .errors import ConfigError, CorpusError, check_types, read_input, within
 from .tokenizer import segment_text
 
 
@@ -43,38 +44,29 @@ def load_csv(path: str | Path) -> LabeledCorpus:
     blank text.
     """
     path = Path(path)
+    reader = csv.reader(io.StringIO(read_input(path, CorpusError), newline=""))
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError(f"{path}: file is empty, expected header 'text,label'") from None
-            if header != ["text", "label"]:
-                raise CorpusError(f"{path}: header must be exactly 'text,label', got {header}")
-            records: list[tuple[str, int]] = []
-            for row_number, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise CorpusError(
-                        f"{path}: row {row_number} has {len(row)} columns, expected 2"
-                    )
-                text, raw_label = row
-                try:
-                    label = int(raw_label)
-                except ValueError:
-                    raise CorpusError(
-                        f"{path}: row {row_number} label {raw_label!r} is not an integer"
-                    ) from None
-                if label < 0:
-                    raise CorpusError(f"{path}: row {row_number} label {label} is negative")
-                if not text.strip():
-                    raise CorpusError(f"{path}: row {row_number} text is empty after trimming")
-                records.append((text, label))
-    except UnicodeDecodeError as err:
-        # decoding runs in chunks, so the error's offset need not be the file's
-        raise CorpusError(f"{path}: cannot read (not UTF-8, {err.reason})") from None
-    except OSError as err:
-        raise CorpusError(f"{path}: cannot read ({err.strerror})") from None
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError(f"{path}: file is empty, expected header 'text,label'") from None
+    if header != ["text", "label"]:
+        raise CorpusError(f"{path}: header must be exactly 'text,label', got {header}")
+    records: list[tuple[str, int]] = []
+    for row_number, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise CorpusError(f"{path}: row {row_number} has {len(row)} columns, expected 2")
+        text, raw_label = row
+        try:
+            label = int(raw_label)
+        except ValueError:
+            raise CorpusError(
+                f"{path}: row {row_number} label {raw_label!r} is not an integer"
+            ) from None
+        if label < 0:
+            raise CorpusError(f"{path}: row {row_number} label {label} is negative")
+        if not text.strip():
+            raise CorpusError(f"{path}: row {row_number} text is empty after trimming")
+        records.append((text, label))
     if not records:
         raise CorpusError(f"{path}: no data rows after the header")
     num_classes = max(label for _, label in records) + 1

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the reader and type
-check that the config dataclasses share."""
+"""Exception types shared across the package; ``read_input``, the one
+reader of every input file, with ``read_json`` on top of it and
+``json_text``, the one JSON encoder of written files; and the reader
+and type check that the config dataclasses share."""
 
 import functools
 import inspect
@@ -122,16 +124,30 @@ def read_section(build, section, where: str, *, all_required=False, **derived):
         raise ConfigError(f"{where}: {err}") from None
 
 
-def read_json(path: str | Path):
-    """The JSON value in the file ``path``; an unreadable or non-UTF-8 file,
-    or invalid JSON, is a ConfigError naming the path (and ``line:col``)."""
+def read_input(path: str | Path, error: type[Exception], *, binary: bool = False):
+    """The bytes of the file ``path``, or its UTF-8 text with line endings
+    as written.  A file that cannot be read or is not UTF-8 raises
+    ``error`` (ConfigError, CorpusError or CheckpointError, which pick the
+    exit code) as ``<path>: cannot read (<reason>)``."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        return raw if binary else raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         reason = f"not UTF-8, {err.reason}" if isinstance(err, UnicodeDecodeError) else err.strerror
-        raise ConfigError(f"{path}: cannot read ({reason})") from None
+        raise error(f"{path}: cannot read ({reason})") from None
+
+
+def read_json(path: str | Path, error: type[Exception] = ConfigError):
+    """The JSON value in the file ``path``; an unreadable file, or invalid
+    JSON as ``<path>:<line>:<col>: invalid JSON (<msg>)``, raises ``error``."""
+    path = Path(path)
     try:
-        return json.loads(text)
+        return json.loads(read_input(path, error))
     except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})") from None
+        raise error(f"{path}:{err.lineno}:{err.colno}: invalid JSON ({err.msg})") from None
+
+
+def json_text(value) -> str:
+    """How every JSON file the package writes is encoded."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"

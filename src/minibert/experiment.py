@@ -9,7 +9,6 @@ The vocabulary is always built from the training split only.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -19,7 +18,8 @@ from .checkpoint import save_checkpoint
 from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
 from .errors import (
-    ConfigError, CorpusError, TrainingError, at_least, check_types, read_json, read_section
+    ConfigError, CorpusError, TrainingError, at_least, check_types, json_text, read_json,
+    read_section,
 )
 from .evaluation import ComparisonReport, TimingRecord, compare_report
 from .model import ModelConfig, as_stacked, init_model
@@ -322,9 +322,7 @@ def _write_reports(
         "pairs": [p.as_dict() for p in comparison.pairs],
         "skipped_gated": skipped,
     }
-    (run_dir / "metrics.json").write_text(
-        json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (run_dir / "metrics.json").write_text(json_text(metrics_doc), encoding="utf-8")
 
     timing_doc = {
         r.name: {
@@ -339,9 +337,7 @@ def _write_reports(
         }
         for r in results
     }
-    (run_dir / "timing.json").write_text(
-        json.dumps(timing_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (run_dir / "timing.json").write_text(json_text(timing_doc), encoding="utf-8")
 
     report = [
         "# Experiment report",

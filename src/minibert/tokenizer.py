@@ -79,11 +79,6 @@ class Vocabulary:
         """One token per line, UTF-8; line number is the id."""
         Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
-
 
 def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 1) -> Vocabulary:
     """Build a vocabulary from raw texts.

@@ -6,7 +6,9 @@ evaluation self-consistency and its one forward pass per member, and the
 metrics calculator."""
 
 import dataclasses
+import errno
 import json
+import os
 import platform
 import shutil
 import types
@@ -14,6 +16,7 @@ import typing
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -855,8 +858,6 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "name, content, phrase",
         [
-            ("manifest.json", b'{"format": "minibert-model-v1\xff"}', "invalid JSON"),
-            ("vocab.txt", b"[PAD]\n\xff\n", "can't decode"),
             ("vocab.txt", b"red\ngreen\n", "must start with"),
             ("vocab.txt", None, "duplicate"),
         ],
@@ -876,6 +877,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
         assert phrase in err
+
+    @pytest.mark.parametrize("variant, params", [("single-3layer", "params.bin"),
+                                                 ("ensemble-3x1", "member-01/params.bin")])
+    def test_non_finite_weight_exits_one(self, completed_run, tmp_path, capsys, variant, params):
+        """A checkpoint whose weights blew up is not scored."""
+        _, run_dir = completed_run
+        checkpoint = tmp_path / variant
+        shutil.copytree(run_dir / "checkpoints" / variant, checkpoint)
+        path = checkpoint / params
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4] + np.array(np.nan, "<f4").tobytes())
+        assert main(["eval", str(checkpoint), str(run_dir / "val.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: parameter 'head.out_b' holds a non-finite value\n"
 
     def assert_too_many_classes(self, completed_run, tmp_path, capsys, rows, classes):
         _, run_dir = completed_run
@@ -968,6 +984,17 @@ class TestMetricsCommand:
         assert err == f"error: {message}\n"
 
 
+# each input file with each way it can be unreadable; the last five files
+# are in checkpoints, and params.bin is read as bytes, never decoded
+UNREADABLE = [
+    (file, failure)
+    for file in ("config", "spec", "corpus", "manifest.json", "ensemble.json",
+                 "member-01/manifest.json", "params.bin", "vocab.txt")
+    for failure in ("missing", "directory", "not UTF-8")
+    if (file, failure) != ("params.bin", "not UTF-8")
+]
+
+
 class TestFailurePath:
     """``main`` reports every failure, argparse's included, as one
     ``error:`` line: exit 2 for usage and config errors, 1 for the rest."""
@@ -1008,6 +1035,42 @@ class TestFailurePath:
             assert out == ""
             assert err.startswith(f"error: {corpus_path}: cannot read (")
             assert err.count("\n") == 1
+        assert not list((tmp_path / "runs").glob("run-*"))
+
+    @pytest.mark.parametrize("file, failure", UNREADABLE)
+    def test_unreadable_input_file(self, completed_run, tmp_path, capsys, file, failure):
+        """Every file the commands read fails alike when it cannot be read:
+        exit 2 for a config, a spec or a corpus, 1 for a checkpoint file."""
+        _, run_dir = completed_run
+        checkpoint = tmp_path / "checkpoint"
+        variant = "ensemble-3x1" if file.startswith(("ensemble", "member")) else "single-3layer"
+        shutil.copytree(run_dir / "checkpoints" / variant, checkpoint)
+        corpus = tmp_path / "val.csv"
+        shutil.copy(run_dir / "val.csv", corpus)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"num_examples": 10, "seed": 1}), encoding="utf-8")
+        config = tiny_config(tmp_path)
+        eval_argv = ["eval", str(checkpoint), str(corpus)]
+        argv, path, code = {
+            "config": (["run", str(config), "--quiet"], config, 2),
+            "spec": (["gen-synthetic", str(spec), str(tmp_path / "out.csv")], spec, 2),
+            "corpus": (eval_argv, corpus, 2),
+        }.get(file, (eval_argv, checkpoint / file, 1))
+        content = path.read_bytes()
+        path.unlink()
+        reason = os.strerror(errno.ENOENT)
+        if failure == "directory":
+            path.mkdir()
+            reason = os.strerror(errno.EISDIR)
+        elif failure == "not UTF-8":
+            path.write_bytes(content + b"\xff")
+            reason = "not UTF-8, invalid start byte"
+        if (file, failure) == ("ensemble.json", "missing"):
+            path = checkpoint / "manifest.json"  # the directory is read as a model checkpoint
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: cannot read ({reason})\n"
         assert not list((tmp_path / "runs").glob("run-*"))
 
     def test_tiny_minutes_print_a_large_ratio(self, capsys):
@@ -1102,6 +1165,15 @@ class TestGenSyntheticCommand:
         path = tmp_path / "broken.json"
         path.write_text('{\n  "num_examples": 10,\n  oops\n}', encoding="utf-8")
         assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3:3: invalid JSON")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_invalid_json_position_is_alike_for_either_line_ending(
+        self, tmp_path, capsys, newline
+    ):
+        path = tmp_path / "broken.json"
+        path.write_bytes(newline.join(["{", '  "num_examples": 10,', "  oops", "}"]).encode())
+        assert main(["gen-synthetic", str(path), str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3:3: invalid JSON")
 
     @pytest.mark.parametrize("command", [["run"], ["gen-synthetic", "out.csv"]])

@@ -2,6 +2,7 @@
 trips on randomized corpora, and synthetic generation checked by a
 bag-of-words separability oracle."""
 
+import csv
 import random
 import re
 
@@ -16,6 +17,27 @@ from minibert.corpus import (
 )
 from minibert.errors import ConfigError, CorpusError
 from minibert.tokenizer import segment_text
+
+
+# (file bytes, the records they hold): line endings, characters that
+# str.splitlines would break a line at, and a NUL, each inside a text
+NEWLINE_CASES = {
+    "crlf": (b"text,label\r\na,0\r\nb,1\r\n", [("a", 0), ("b", 1)]),
+    "cr-only": (b"text,label\ra,0\rb,1\r", [("a", 0), ("b", 1)]),
+    "no-final-newline": (b"text,label\na,0\nb,1", [("a", 0), ("b", 1)]),
+    "quoted-crlf": (b'text,label\n"a\r\nb",0\nc,1\n', [("a\r\nb", 0), ("c", 1)]),
+    "quoted-cr": (b'text,label\n"a\rb",0\nc,1\n', [("a\rb", 0), ("c", 1)]),
+    "u2028": ("text,label\na\u2028b,0\nc,1\n".encode(), [("a\u2028b", 0), ("c", 1)]),
+    "x85": ("text,label\na\x85b,0\nc,1\n".encode(), [("a\x85b", 0), ("c", 1)]),
+    "nul": (b"text,label\na\x00b,0\nc,1\n", [("a\x00b", 0), ("c", 1)]),
+}
+
+
+def streamed_rows(path):
+    """What csv reads from ``path`` through a handle opened with
+    ``newline=""``, the way the csv module documents."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
 
 
 class TestLoadCsv:
@@ -63,6 +85,29 @@ class TestLoadCsv:
         with pytest.raises(CorpusError) as err:
             load_csv(path)
         assert str(err.value) == f"{path}: cannot read (not UTF-8, invalid start byte)"
+
+    @pytest.mark.parametrize("name", NEWLINE_CASES)
+    def test_whole_file_parses_as_a_streamed_handle(self, tmp_path, name):
+        content, records = NEWLINE_CASES[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(content)
+        try:
+            rows = streamed_rows(path)
+        except csv.Error:  # csv reads no NUL before Python 3.11
+            with pytest.raises(csv.Error):
+                load_csv(path)
+            return
+        assert rows[1:] == [[text, str(label)] for text, label in records]
+        assert load_csv(path).records == records
+
+    def test_byte_order_mark_is_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefftext,label\na,0\n".encode())
+        assert streamed_rows(path)[0] == ["\ufefftext", "label"]
+        with pytest.raises(CorpusError) as err:
+            load_csv(path)
+        header = "['\\ufefftext', 'label']"
+        assert str(err.value) == f"{path}: header must be exactly 'text,label', got {header}"
 
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "corpus.csv"

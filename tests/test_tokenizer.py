@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minibert import tokenizer as tok
+from minibert.errors import CheckpointError, read_input
 from minibert.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -181,7 +182,8 @@ class TestVocabularyIO:
     def test_save_load_round_trip(self, tmp_path, small_vocab):
         path = tmp_path / "vocab.txt"
         small_vocab.save(path)
-        loaded = Vocabulary.load(path)
+        # as a checkpoint load reads vocab.txt
+        loaded = Vocabulary(read_input(path, CheckpointError).splitlines())
         assert loaded.id_to_token == small_vocab.id_to_token
 
     def test_line_number_is_id(self, tmp_path, small_vocab):
