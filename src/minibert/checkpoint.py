@@ -7,7 +7,8 @@ and ``vocab.txt``.  An ensemble checkpoint is a directory of member
 checkpoints ``member-00``, ``member-01``, ... plus ``ensemble.json``.  A
 save writes the manifest that ``_model_manifest`` or ``_ensemble_manifest``
 builds from its config, and a load rejects any manifest that differs from
-that of the config it holds, and any non-finite weight.
+that of the config it holds or whose ``max_seq_len`` cannot hold an
+encoded text, and any non-finite weight.
 ``save_checkpoint`` and ``load_checkpoint`` pick the format for the caller.
 
 Saving removes the old manifest first and writes the new one last;
@@ -29,7 +30,7 @@ import numpy as np
 from .ensemble import EnsembleConfig, EnsembleModel
 from .errors import CheckpointError, ConfigError, json_text, read_input, read_json, read_section
 from .model import ClassifierModel, ModelConfig, parameter_count, parameter_shapes
-from .tokenizer import Vocabulary
+from .tokenizer import MIN_SEQ_LEN, Vocabulary
 
 MODEL_MANIFEST = "manifest.json"
 PARAMS_FILE = "params.bin"
@@ -128,6 +129,11 @@ def load_model(directory: str | Path) -> tuple[ClassifierModel, Vocabulary]:
         config = read_section(
             ModelConfig, manifest.get("config"), "manifest.config", all_required=True
         )
+        # ModelConfig allows shorter, but no text encodes to fewer positions
+        if config.max_seq_len < MIN_SEQ_LEN:
+            raise ConfigError(
+                f"manifest.config: max_seq_len must be >= {MIN_SEQ_LEN}, got {config.max_seq_len}"
+            )
         _require_saved(manifest, _model_manifest(config), manifest["config"])
 
     params_path = directory / PARAMS_FILE

@@ -7,13 +7,14 @@ fixed seeds every forward pass is bit-deterministic.
 Inference (under ``tensor.no_grad()``) computes only what the logits
 depend on: the last layer runs for the [CLS] query row alone, and
 ``predict`` / ``predict_proba`` run examples shortest first in trimmed
-chunks, each capped by rows and by padded positions so that wide texts
-take narrower chunks and smaller activations.  Logits move at float
-rounding level only, so a label can differ from the full layer's only at
-a near-tie.  Training keeps every layer at every position, so trained
-weights stay bit for bit, and so does the cost of the ensemble's and the
-deep model's training steps: for a 1-layer member the last layer is
-nearly the whole encoder.
+chunks, each sized by one element budget for its widest activation, so
+that wide texts and deep models take fewer rows per chunk, and the [CLS]
+rows' products run as one 2-D matrix product per chunk.  Logits move at
+float rounding level only, so a label can differ from the full layer's
+only at a near-tie.  Training keeps every layer at every position, so
+trained weights stay bit for bit, and so does the cost of the ensemble's
+and the deep model's training steps: for a 1-layer member the last layer
+is nearly the whole encoder.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .errors import ConfigError, at_least, check_types
 from .tokenizer import EncodedExample
 
 ATTENTION_MASK_BIAS = -1e9
-# examples, and padded positions (rows x trimmed width), per no-grad
-# forward in predict / predict_proba
-PREDICT_BATCH_SIZE = 64
-PREDICT_POSITIONS = 2048
+# elements of the widest activation one no-grad forward in predict /
+# predict_proba holds: rows x trimmed width x ``_position_width`` (1 MiB of
+# float32)
+PREDICT_ELEMENTS = 1024 * 256
 
 
 @dataclass
@@ -261,15 +262,30 @@ class ClassifierModel:
         out = np.empty((len(examples), self.config.num_classes), dtype=np.float64)
         return self._fill(out, examples, lambda logits: T.softmax(logits, axis=-1).data)
 
+    def _position_width(self, width):
+        """Elements per padded position of the widest activation a no-grad
+        forward holds at trimmed ``width`` (an int or an array of them).
+
+        A full-width layer holds the feed-forward's ``ff_dim``, the
+        ``hidden_dim`` projections and ``num_heads`` attention scores per
+        key; a lone [CLS]-only layer holds only the key and value
+        projections at every position.
+        """
+        cfg = self.config
+        if cfg.num_layers == 1:
+            return cfg.hidden_dim
+        return np.maximum(max(cfg.ff_dim, cfg.hidden_dim), cfg.num_heads * width)
+
     def _fill(self, out: np.ndarray, examples, head) -> np.ndarray:
         """Write ``head(logits)`` row by row into ``out``, in input order.
 
         Examples run shortest first, so each trimmed chunk holds texts of
-        similar length and little padding.  Each chunk grows greedily up to
-        ``PREDICT_BATCH_SIZE`` rows and ``PREDICT_POSITIONS`` padded
-        positions, rows times the width ``trim_padding`` cuts the chunk
-        to; a row wider than that runs alone.  A row with no attended
-        position counts at full width, as ``trim_padding`` leaves it.
+        similar length and little padding.  Each chunk grows greedily while
+        rows x width x ``_position_width(width)`` stays within
+        ``PREDICT_ELEMENTS``, where width is the one ``trim_padding`` cuts
+        the chunk to; a row over that budget runs alone.  A row with no
+        attended position counts at full width, as ``trim_padding`` leaves
+        it.
         """
         if not len(examples):
             return out
@@ -281,10 +297,14 @@ class ClassifierModel:
         start = 0
         with T.no_grad():
             while start < len(order):
-                # padded positions of the chunk's first k rows, nondecreasing in k
-                grown = np.maximum.accumulate(widths[start : start + PREDICT_BATCH_SIZE])
-                grown *= np.arange(1, len(grown) + 1)
-                end = start + max(1, int(np.count_nonzero(grown <= PREDICT_POSITIONS)))
+                # every chunk is at least as wide as its first row, which
+                # bounds how many rows can fit
+                first = widths[start]
+                most = max(1, PREDICT_ELEMENTS // int(first * self._position_width(first)))
+                # elements of the chunk's first k rows, nondecreasing in k
+                grown = np.maximum.accumulate(widths[start : start + most])
+                cost = np.arange(1, len(grown) + 1) * grown * self._position_width(grown)
+                end = start + max(1, int(np.count_nonzero(cost <= PREDICT_ELEMENTS)))
                 rows = order[start:end]
                 out[rows] = head(self.forward(*trim_padding(ids[rows], segs[rows], mask[rows])))
                 start = end
@@ -294,13 +314,15 @@ class ClassifierModel:
 def stack_examples(
     examples: list[EncodedExample],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack encoded examples into (token_ids, segment_ids, attention_mask)."""
+    """Stack encoded examples into (token_ids, segment_ids, attention_mask);
+    the mask is 1 on each example's first ``length`` positions, and every
+    segment id is 0."""
     if not examples:
         raise ValueError("cannot stack an empty batch")
     ids = np.asarray([e.token_ids for e in examples], dtype=np.int64)
-    segs = np.asarray([e.segment_ids for e in examples], dtype=np.int64)
-    mask = np.asarray([e.attention_mask for e in examples], dtype=np.int64)
-    return ids, segs, mask
+    lengths = np.fromiter((e.length for e in examples), dtype=np.int64, count=len(examples))
+    mask = (np.arange(ids.shape[1]) < lengths[:, None]).astype(np.int64)
+    return ids, np.zeros_like(ids), mask
 
 
 @dataclass(frozen=True)

@@ -298,16 +298,22 @@ def matmul(a, b, bias=None) -> Tensor:
     Backward: dA = dC @ B^T and dB = A^T @ dC, summed over broadcast axes.
     A stack of rows times a 2-D weight, (..., K) @ (K, N), runs each
     gradient as one 2-D GEMM over the flattened rows instead of one GEMM
-    per leading index plus a sum over them.
+    per leading index plus a sum over them.  The forward does the same for
+    a stack of single rows, (..., 1, K) @ (K, N), such as inference's
+    [CLS] rows.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires 2D+ operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    # The forward stays numpy's batched product: flattening it was measured
-    # slower for 64x64 weights at evaluation shapes.
-    data = a.data @ b.data
+    if a.ndim > 2 and b.ndim == 2 and a.shape[-2] == 1:
+        # numpy's batched product would make one 1-row GEMM per leading index
+        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+    else:
+        # flattening a stack of several rows was measured slower than numpy's
+        # batched product for 64x64 weights at evaluation shapes
+        data = a.data @ b.data
     parents = (a, b)
     if bias is not None:
         bias = as_tensor(bias)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 PAD_TOKEN = "[PAD]"
@@ -71,10 +71,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def lookup(self, token: str) -> int:
-        """Id for ``token``, falling back to [UNK]."""
-        return self.token_to_id.get(token, UNK_ID)
-
     def save(self, path: str | Path) -> None:
         """One token per line, UTF-8; line number is the id."""
         Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
@@ -109,27 +105,32 @@ class EncodedExample:
     """A tokenized, padded, single-segment sequence with its class label.
 
     Position 0 is [CLS]; exactly one [SEP] terminates the content; every
-    later position is [PAD].  ``attention_mask`` is 1 exactly on non-PAD
-    positions.
+    later position is [PAD].  ``length`` counts the non-PAD positions, on
+    which ``attention_mask`` is 1; ``segment_ids`` is all 0.  Both lists are
+    built on demand; ``model.stack_examples`` builds their arrays from
+    ``length`` without them.
     """
 
     token_ids: list[int]
-    segment_ids: list[int] = field(repr=False)
-    attention_mask: list[int] = field(repr=False)
+    length: int
     label: int = 0
+
+    @property
+    def segment_ids(self) -> list[int]:
+        return [0] * len(self.token_ids)
+
+    @property
+    def attention_mask(self) -> list[int]:
+        return [1] * self.length + [0] * (len(self.token_ids) - self.length)
 
 
 def encode(text: str, vocab: Vocabulary, max_seq_len: int, label: int = 0) -> EncodedExample:
-    """Encode text as [CLS] + tokens + [SEP] + padding, truncating the tail."""
+    """Encode text as [CLS] + tokens + [SEP] + padding, truncating the tail;
+    a token outside ``vocab`` becomes [UNK]."""
     if max_seq_len < MIN_SEQ_LEN:
         raise ValueError(f"max_seq_len must be at least {MIN_SEQ_LEN}, got {max_seq_len}")
-    content = [vocab.lookup(tok) for tok in segment_text(text)][: max_seq_len - 2]
-    ids = [CLS_ID] + content + [SEP_ID]
-    used = len(ids)
-    ids.extend([PAD_ID] * (max_seq_len - used))
-    return EncodedExample(
-        token_ids=ids,
-        segment_ids=[0] * max_seq_len,
-        attention_mask=[1] * used + [0] * (max_seq_len - used),
-        label=label,
-    )
+    lookup = vocab.token_to_id.get
+    content = [lookup(tok, UNK_ID) for tok in segment_text(text)[: max_seq_len - 2]]
+    length = len(content) + 2
+    ids = [CLS_ID, *content, SEP_ID] + [PAD_ID] * (max_seq_len - length)
+    return EncodedExample(token_ids=ids, label=label, length=length)

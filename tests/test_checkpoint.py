@@ -127,6 +127,19 @@ class TestModelCheckpoint:
         params_path = tmp_path / "ckpt" / "params.bin"
         assert str(err.value) == f"{params_path}: parameter 'layer1.ff1_b' holds a non-finite value"
 
+    @pytest.mark.parametrize("max_seq_len", [1, 2])
+    def test_too_short_max_seq_len_rejected(self, tmp_path, setup, max_seq_len):
+        """A manifest and weights that agree, but whose positions cannot hold
+        [CLS], one token and [SEP], do not load."""
+        vocab, config, _ = setup
+        save_model(init_model(replace(config, max_seq_len=max_seq_len)), tmp_path / "ckpt", vocab)
+        with pytest.raises(CheckpointError) as err:
+            load_model(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        assert str(err.value) == (
+            f"{manifest_path}: manifest.config: max_seq_len must be >= 3, got {max_seq_len}"
+        )
+
     def test_shape_mismatch_rejected(self, tmp_path, setup):
         vocab, config, model = setup
         save_model(model, tmp_path / "ckpt", vocab)

@@ -893,6 +893,31 @@ class TestEvalCommand:
         assert out == ""
         assert err == f"error: {path}: parameter 'head.out_b' holds a non-finite value\n"
 
+    def test_too_short_max_seq_len_exits_one(self, completed_run, tmp_path, capsys):
+        """A checkpoint cut to 2 positions, its manifest edited to match, is
+        rejected at load, naming the manifest, not when a text is encoded."""
+        _, run_dir = completed_run
+        checkpoint = tmp_path / "short"
+        shutil.copytree(run_dir / "checkpoints" / "single-3layer", checkpoint)
+        manifest_path = checkpoint / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        config = manifest["config"]
+        hidden, length = config["hidden_dim"], config["max_seq_len"]
+        # word, segment, then position rows lead params.bin
+        start = 4 * hidden * (config["vocab_size"] + 2)
+        raw = (checkpoint / "params.bin").read_bytes()
+        (checkpoint / "params.bin").write_bytes(
+            raw[: start + 4 * 2 * hidden] + raw[start + 4 * length * hidden :]
+        )
+        config["max_seq_len"] = 2
+        position, = (p for p in manifest["params"] if p["name"] == "embed.position")
+        position["shape"] = [2, hidden]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["eval", str(checkpoint), str(run_dir / "val.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {manifest_path}: manifest.config: max_seq_len must be >= 3, got 2\n"
+
     def assert_too_many_classes(self, completed_run, tmp_path, capsys, rows, classes):
         _, run_dir = completed_run
         corpus_path = tmp_path / "more.csv"

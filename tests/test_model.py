@@ -395,77 +395,102 @@ class TestClsOnlyInference:
         assert query_rows == [None] * num_layers
 
 
+def position_width(config, width):
+    """Elements per padded position that a no-grad chunk of trimmed
+    ``width`` is charged: the widest activation of a full-width layer, or
+    the hidden projections of a lone [CLS]-only layer."""
+    if config.num_layers == 1:
+        return config.hidden_dim
+    return max(config.ff_dim, config.hidden_dim, config.num_heads * width)
+
+
+def recorded_chunks(model, monkeypatch):
+    """(rows, trimmed width, shortest row's real tokens) of each forward
+    ``model`` runs, in order, appended to the returned list."""
+    chunks = []
+    forward = model.forward
+
+    def recording_forward(token_ids, segment_ids, attention_mask):
+        chunks.append((len(attention_mask), attention_mask.shape[1],
+                       int(attention_mask.sum(axis=1).min())))
+        return forward(token_ids, segment_ids, attention_mask)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    return chunks
+
+
 class TestPredict:
     def test_rows_return_in_input_order_from_length_sorted_chunks(self, vocab, monkeypatch):
-        """Chunks run shortest first and grow greedily: at most 64 rows and
-        at most 2048 padded positions each, and one more row would break
-        a limit; rows still come back in input order."""
-        model = init_model(dataclasses.replace(
-            TINY, vocab_size=len(vocab), hidden_dim=8, ff_dim=16, max_seq_len=64,
-            num_classes=3, init_scale=1.0,
-        ))
+        """Chunks run shortest first and grow greedily: each holds at most
+        ``PREDICT_ELEMENTS`` of its widest activation, and one more row
+        would not fit; a 1-layer model takes larger chunks than a 3-layer
+        model of the same shape; rows still come back in input order, with
+        the probabilities of one forward per row."""
+        budget = model_module.PREDICT_ELEMENTS
+        assert budget == 1024 * 256
         rng = np.random.default_rng(0)
         words = "alpha beta gamma delta epsilon zeta".split()
         short = [" ".join(rng.choice(words, size=rng.integers(1, 7))) for _ in range(150)]
         # 20 to 80 words: widths from 22 up to the 64-token cap, most of them at 64
         long = [" ".join(rng.choice(words, size=rng.integers(20, 81))) for _ in range(100)]
         examples = batch_for(short + long, vocab, max_seq_len=64)
-        batch, positions = model_module.PREDICT_BATCH_SIZE, model_module.PREDICT_POSITIONS
-        assert (batch, positions) == (64, 2048)
-
-        chunks = []  # (rows, trimmed width, shortest row's real tokens) per forward
-        forward = model.forward
-
-        def recording_forward(token_ids, segment_ids, attention_mask):
-            chunks.append((len(attention_mask), attention_mask.shape[1],
-                           int(attention_mask.sum(axis=1).min())))
-            return forward(token_ids, segment_ids, attention_mask)
-
-        monkeypatch.setattr(model, "forward", recording_forward)
-        model.predict(examples[:150])
-        assert [rows for rows, _, _ in chunks] == [64, 64, 22]
-        chunks.clear()
-        labels = model.predict(examples)
-        assert sum(rows for rows, _, _ in chunks) == len(examples)
-        widths = [width for _, width, _ in chunks]
-        assert widths == sorted(widths) and widths[0] < 10 and widths[-1] == 64
-        assert all(rows <= batch and rows * width <= positions for rows, width, _ in chunks)
-        for (rows, width, _), (_, _, next_shortest) in zip(chunks, chunks[1:]):
-            # the masks are contiguous, so the next row's width is its token count
-            assert rows == batch or (rows + 1) * max(width, next_shortest) > positions
-        assert (32, 64) in [chunk[:2] for chunk in chunks]
-
-        probs = model.predict_proba(examples)
-        assert len(set(labels[:150].tolist())) > 1 and len(set(labels[150:].tolist())) > 1
-        with T.no_grad():
-            singles = np.concatenate([model.logits([e]).data for e in examples])
-        np.testing.assert_allclose(probs, reference_softmax(singles), rtol=0, atol=1e-6)
-        assert np.array_equal(labels, np.argmax(probs, axis=1))
-
         order = rng.permutation(len(examples))
         permuted = [examples[i] for i in order]
-        assert np.array_equal(model.predict(permuted), labels[order])
-        np.testing.assert_allclose(model.predict_proba(permuted), probs[order], rtol=0, atol=1e-6)
 
-    def test_a_row_wider_than_the_position_cap_runs_alone(self, vocab, monkeypatch):
-        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
+        # 8 heads: the 3-layer model's attention scores outgrow ff_dim past width 32
+        shape = dataclasses.replace(
+            TINY, vocab_size=len(vocab), hidden_dim=64, num_heads=8, ff_dim=256,
+            max_seq_len=64, num_classes=3, init_scale=0.5,
+        )
+        chunk_rows = {}
+        for num_layers in (1, 3):
+            config = dataclasses.replace(shape, num_layers=num_layers)
+            # float64, so that one forward per row must agree to 1e-12
+            model = init_model(config, dtype=np.float64)
+            chunks = recorded_chunks(model, monkeypatch)
+            labels = model.predict(examples)
+            assert sum(rows for rows, _, _ in chunks) == len(examples)
+            widths = [width for _, width, _ in chunks]
+            assert widths == sorted(widths) and widths[-1] == 64
+            assert all(rows * width * position_width(config, width) <= budget
+                       for rows, width, _ in chunks)
+            for (rows, width, _), (_, _, next_shortest) in zip(chunks, chunks[1:]):
+                # the masks are contiguous, so the next row's width is its token count
+                grown = max(width, next_shortest)
+                assert (rows + 1) * grown * position_width(config, grown) > budget
+            chunk_rows[num_layers] = [rows for rows, _, _ in chunks]
+
+            probs = model.predict_proba(examples)
+            assert len(set(labels[:150].tolist())) > 1 and len(set(labels[150:].tolist())) > 1
+            with T.no_grad():
+                singles = np.concatenate([model.logits([e]).data for e in examples])
+            np.testing.assert_allclose(probs, reference_softmax(singles), rtol=0, atol=1e-12)
+            assert np.array_equal(labels, np.argmax(probs, axis=1))
+            assert np.array_equal(model.predict(permuted), labels[order])
+            np.testing.assert_allclose(
+                model.predict_proba(permuted), probs[order], rtol=0, atol=1e-12
+            )
+
+        # e.g. 128 x 8 x ff_dim 256 and 18 x 42 x (8 heads x 42) in the 3-layer model
+        assert chunk_rows == {1: [156, 65, 29], 3: [128, 33, 18, 13, 10, 9, 8, 8, 8, 8, 7]}
+
+    def test_a_row_over_the_element_budget_runs_alone(self, vocab, monkeypatch):
         examples = batch_for(["alpha", "alpha beta", "alpha beta gamma delta epsilon"], vocab)
-        rows = []
-        forward = model.forward
-
-        def recording_forward(token_ids, segment_ids, attention_mask):
-            rows.append((len(attention_mask), attention_mask.shape[1]))
-            return forward(token_ids, segment_ids, attention_mask)
-
-        monkeypatch.setattr(model, "forward", recording_forward)
-        monkeypatch.setattr(model_module, "PREDICT_POSITIONS", 6)
-        model.predict(examples)
-        # widths 3, 4 and 7: 2 x 4 = 8 positions is over the cap, and 7 alone is too
-        assert rows == [(1, 3), (1, 4), (1, 7)]
-        monkeypatch.setattr(model_module, "PREDICT_POSITIONS", 8)
-        rows.clear()
-        model.predict(examples)
-        assert rows == [(2, 4), (1, 7)]
+        # widths 3, 4 and 7; elements per position 4 (hidden_dim) in the
+        # 1-layer model, 8, 8 and 14 (ff_dim, then 2 heads x 7) in the 3-layer
+        for num_layers, cases in (
+            (1, [(27, [(1, 3), (1, 4), (1, 7)]), (32, [(2, 4), (1, 7)])]),
+            (3, [(63, [(1, 3), (1, 4), (1, 7)]), (64, [(2, 4), (1, 7)])]),
+        ):
+            model = init_model(dataclasses.replace(
+                TINY, vocab_size=len(vocab), num_layers=num_layers
+            ))
+            chunks = recorded_chunks(model, monkeypatch)
+            for budget, expected in cases:
+                monkeypatch.setattr(model_module, "PREDICT_ELEMENTS", budget)
+                chunks.clear()
+                model.predict(examples)
+                assert [chunk[:2] for chunk in chunks] == expected, (num_layers, budget)
 
 
 class TestTrimPadding:

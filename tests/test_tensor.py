@@ -100,6 +100,36 @@ class TestMatmul:
             assert tensor.grad.dtype == np.float32 and tensor.grad.shape == tensor.shape
             np.testing.assert_allclose(tensor.grad, expected, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_stack_of_single_rows_runs_as_one_gemm(self, dtype, with_bias):
+        """(B, 1, K) @ (K, N), as inference's [CLS] rows: the forward is the
+        2-D GEMM of the (B, K) rows bit for bit and numpy's batched product
+        within 1e-6, and the gradients are the batched product's."""
+        rng = np.random.default_rng(22)
+        # a strided view, as the [CLS] rows are of the (B, S, K) activations;
+        # at K = 64 OpenBLAS's batched product differs from the GEMM in the
+        # last bits, so the bitwise check below tells the two paths apart
+        a = rng.uniform(-0.5, 0.5, (7, 3, 64)).astype(dtype)[:, :1, :]
+        w = rng.uniform(-0.5, 0.5, (64, 32)).astype(dtype)
+        bias = rng.uniform(-0.5, 0.5, 32).astype(dtype) if with_bias else np.zeros(32, dtype)
+        upstream = rng.uniform(-0.5, 0.5, (7, 1, 32)).astype(dtype)
+        ta, tw = T.Tensor(a, requires_grad=True), T.Tensor(w, requires_grad=True)
+        tbias = T.Tensor(bias, requires_grad=True) if with_bias else None
+        out = T.matmul(ta, tw, tbias)
+        assert out.shape == (7, 1, 32) and out.dtype == dtype
+        assert np.array_equal(out.data, (a.reshape(7, 64) @ w + bias)[:, None, :])
+        np.testing.assert_allclose(out.data, np.matmul(a, w) + bias, rtol=0, atol=1e-6)
+
+        (out * T.Tensor(upstream)).sum().backward()
+        # one GEMM per leading index, then a sum over the leading axis
+        np.testing.assert_allclose(ta.grad, upstream @ w.T, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(
+            tw.grad, (a.swapaxes(-1, -2) @ upstream).sum(axis=0), rtol=0, atol=1e-6
+        )
+        if with_bias:
+            np.testing.assert_allclose(tbias.grad, upstream.sum(axis=(0, 1)), rtol=0, atol=1e-6)
+
 
 class TestSoftmax:
     def test_symmetric(self):

@@ -1,16 +1,19 @@
 """Tokenizer tests: segmentation rules, frequency-ordered vocabulary
 construction (checked against an independent tally), encoding invariants
-over randomized unicode, and the save/load text format."""
+over randomized unicode, stacked arrays against each example's lists, and
+the save/load text format."""
 
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minibert import tokenizer as tok
 from minibert.errors import CheckpointError, read_input
+from minibert.model import stack_examples
 from minibert.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -163,6 +166,25 @@ class TestEncode:
             assert ex.attention_mask == [1 if i != PAD_ID else 0 for i in ex.token_ids]
             assert all(0 <= i < len(small_vocab) for i in ex.token_ids)
             assert set(ex.segment_ids) == {0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="ab c字中ü!☃\t", max_size=40), min_size=1, max_size=6),
+        max_seq_len=st.integers(3, 24),
+    )
+    def test_stacked_arrays_equal_the_stacked_lists(self, texts, max_seq_len):
+        """``stack_examples`` builds the mask and segment arrays from each
+        example's ``length``; they equal the examples' own lists stacked, and
+        each mask counts [CLS], the kept content tokens and [SEP]."""
+        vocab = build_vocab(["a b c"], max_size=10)
+        examples = [encode(text, vocab, max_seq_len) for text in texts]
+        stacked = stack_examples(examples)
+        for array, key in zip(stacked, ("token_ids", "segment_ids", "attention_mask")):
+            expected = np.array([getattr(ex, key) for ex in examples], dtype=np.int64)
+            assert array.dtype == np.int64 and np.array_equal(array, expected), key
+        for text, ex in zip(texts, examples):
+            content = min(len(segment_text(text)), max_seq_len - 2)
+            assert sum(ex.attention_mask) - 2 == content == ex.length - 2
 
     def test_round_trip_up_to_truncation_and_unk(self, small_vocab):
         rng = random.Random(29)
