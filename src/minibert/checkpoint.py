@@ -9,7 +9,8 @@ save writes the manifest that ``_model_manifest`` or ``_ensemble_manifest``
 builds from its config, and a load rejects any manifest that differs from
 that of the config it holds or whose ``max_seq_len`` cannot hold an
 encoded text, and any non-finite weight.
-``save_checkpoint`` and ``load_checkpoint`` pick the format for the caller.
+``load_checkpoint`` loads an ensemble where ``ensemble.json`` exists and
+a model elsewhere.
 
 Saving removes the old manifest first and writes the new one last;
 ``params.bin`` and the manifests go to a temporary name that
@@ -196,26 +197,13 @@ def load_ensemble(directory: str | Path) -> tuple[EnsembleModel, Vocabulary]:
     return EnsembleModel(members, config), vocab
 
 
-def is_ensemble_checkpoint(directory: str | Path) -> bool:
-    return (Path(directory) / ENSEMBLE_MANIFEST).exists()
-
-
-def save_checkpoint(
-    predictor: ClassifierModel | EnsembleModel, directory: str | Path, vocab: Vocabulary
-) -> Path:
-    """Save a model or an ensemble, each in its own format."""
-    if isinstance(predictor, EnsembleModel):
-        return save_ensemble(predictor, directory, vocab)
-    return save_model(predictor, directory, vocab)
-
-
 def load_checkpoint(
     directory: str | Path,
 ) -> tuple[ClassifierModel | EnsembleModel, Vocabulary, ModelConfig]:
     """Load the ensemble or, without ``ensemble.json``, the model in
     ``directory``, with its vocabulary and the model shape its inputs are
     encoded for (an ensemble's member shape)."""
-    if is_ensemble_checkpoint(directory):
+    if (Path(directory) / ENSEMBLE_MANIFEST).exists():
         ensemble, vocab = load_ensemble(directory)
         return ensemble, vocab, ensemble.config.member_model_config
     model, vocab = load_model(directory)

@@ -127,15 +127,12 @@ def _cmd_eval(args) -> None:
     evaluation = evaluate(predictor, examples)
     report = evaluation.metrics
 
-    payload: dict = {
+    payload = {
         "checkpoint": str(checkpoint),
         "corpus": str(args.corpus),
         "metrics": report.as_dict(),
+        **evaluation.member_fields("member_accuracies"),
     }
-    if evaluation.member_accuracies is not None:
-        payload["member_accuracies"] = evaluation.member_accuracies
-        payload["disagreement_count"] = evaluation.disagreement_count
-
     if args.json:
         print(json.dumps(payload, sort_keys=True))
         return

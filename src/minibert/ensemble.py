@@ -11,7 +11,8 @@ An evaluation runs each member's forward pass exactly once, with no
 autodiff graph: majority voting needs each member's labels, average
 voting each member's probabilities, and the member labels, the
 disagreement count and the per-member accuracies all follow from those.
-``evaluate`` scores that pass for a model and an ensemble alike.
+A member's label is its ``predict`` label under either rule.  ``evaluate``
+scores that pass for a model and an ensemble alike.
 """
 
 from __future__ import annotations
@@ -59,20 +60,25 @@ class EnsemblePrediction:
 
     labels: np.ndarray
     member_labels: np.ndarray = field(repr=False)  # (N, B)
-    disagreement_count: int = 0
+
+    @property
+    def disagreement_count(self) -> int:
+        """Examples on which some member's label differs from the first's."""
+        return int(np.sum(np.any(self.member_labels != self.member_labels[0], axis=0)))
 
 
 class EnsembleModel:
-    """N trained members plus the configured voting rule."""
+    """N members of ``config.member_model_config``'s shape (init seeds may
+    differ) plus the configured voting rule."""
 
     def __init__(self, members: list[ClassifierModel], config: EnsembleConfig):
         if len(members) != config.n_members:
             raise ConfigError(
                 f"expected {config.n_members} members, got {len(members)}"
             )
-        first = members[0].config
-        for m in members[1:]:
-            if replace(m.config, init_seed=first.init_seed) != first:
+        shape = config.member_model_config
+        for m in members:
+            if replace(m.config, init_seed=shape.init_seed) != shape:
                 raise ConfigError("ensemble members must share one model shape")
         self.members = members
         self.config = config
@@ -150,11 +156,12 @@ def average_vote(member_probabilities) -> np.ndarray:
 def predict_ensemble(
     ensemble: EnsembleModel, examples: list[EncodedExample] | StackedExamples
 ) -> EnsemblePrediction:
-    """Vote member predictions into final labels and count disagreements.
+    """Vote member predictions into final labels.
 
     Each member runs one forward pass: ``predict`` for majority voting,
-    ``predict_proba`` for average voting, whose argmax gives the member's
-    labels.  The examples are stacked once and every member reads that copy.
+    ``predict_proba`` for average voting, whose argmax is by definition
+    the member's ``predict`` label.  The examples are stacked once and
+    every member reads that copy.
     """
     inputs = as_stacked(examples)
     if ensemble.config.voting == AVERAGE_PROBABILITY:
@@ -164,10 +171,7 @@ def predict_ensemble(
     else:
         member_labels = np.stack([m.predict(inputs) for m in ensemble.members])
         labels = majority_vote(member_labels)
-    disagreement = int(np.sum(~np.all(member_labels == member_labels[0], axis=0)))
-    return EnsemblePrediction(
-        labels=labels, member_labels=member_labels, disagreement_count=disagreement
-    )
+    return EnsemblePrediction(labels, member_labels)
 
 
 @dataclass
@@ -178,6 +182,13 @@ class Evaluation:
     metrics: MetricsReport
     member_accuracies: list[float] | None = None
     disagreement_count: int | None = None
+
+    def member_fields(self, key: str) -> dict:
+        """An ensemble's member accuracies, under ``key``, and its
+        disagreement count; ``{}`` for a model."""
+        if self.member_accuracies is None:
+            return {}
+        return {key: self.member_accuracies, "disagreement_count": self.disagreement_count}
 
 
 def evaluate(

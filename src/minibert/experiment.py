@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Annotated, TextIO
 
-from .checkpoint import save_checkpoint
+from .checkpoint import save_ensemble, save_model
 from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv, save_csv
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
 from .errors import (
@@ -286,10 +286,12 @@ def _run_variant(
     stream: TextIO,
 ) -> VariantResult:
     member_config = replace(model_config, num_layers=variant.num_layers)
+    checkpoint_dir = run_dir / "checkpoints" / variant.name
     if variant.ensemble is None:
         predictor = init_model(member_config)
         prefix = f"variant={variant.name} "
         runs = [train(predictor, train_set, val_set, train_config, stream, prefix)]
+        save_model(predictor, checkpoint_dir, vocab)
     else:
         predictor, runs = train_ensemble(
             train_set,
@@ -298,7 +300,7 @@ def _run_variant(
             train_config,
             log_stream=stream,
         )
-    save_checkpoint(predictor, run_dir / "checkpoints" / variant.name, vocab)
+        save_ensemble(predictor, checkpoint_dir, vocab)
     evaluation = evaluate(predictor, val_set)
     # comparisons rank on summed member time, the ensemble's training cost
     timing = TimingRecord(
@@ -318,7 +320,14 @@ def _write_reports(
     skipped: list[str],
 ) -> None:
     metrics_doc = {
-        "variants": {r.name: _metrics_entry(r) for r in results},
+        "variants": {
+            r.name: {
+                "kind": r.kind,
+                **r.evaluation.metrics.as_dict(),
+                **r.evaluation.member_fields("member_val_accuracies"),
+            }
+            for r in results
+        },
         "pairs": [p.as_dict() for p in comparison.pairs],
         "skipped_gated": skipped,
     }
@@ -350,17 +359,6 @@ def _write_reports(
         comparison.timing_markdown(),
     ]
     (run_dir / "report.md").write_text("\n".join(report), encoding="utf-8")
-
-
-def _metrics_entry(result: VariantResult) -> dict:
-    """A variant's ``metrics.json`` entry; only an ensemble's evaluation
-    adds the member fields."""
-    evaluation = result.evaluation
-    entry = {"kind": result.kind, **evaluation.metrics.as_dict()}
-    if evaluation.member_accuracies is not None:
-        entry["member_val_accuracies"] = evaluation.member_accuracies
-        entry["disagreement_count"] = evaluation.disagreement_count
-    return entry
 
 
 class _Tee:

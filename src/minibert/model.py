@@ -252,9 +252,13 @@ class ClassifierModel:
         return self.forward(*trim_padding(*stack_examples(examples)))
 
     def predict(self, examples: list[EncodedExample] | StackedExamples) -> np.ndarray:
-        """Predicted class indices, argmax of the logits; builds no graph."""
+        """Predicted class indices: the argmax of each ``predict_proba`` row,
+        the first index on a tie.  Logits closer than the softmax resolves
+        (about 4e-8 in float32) tie there.  Builds no graph."""
         out = np.empty(len(examples), dtype=np.int64)
-        return self._fill(out, examples, lambda logits: np.argmax(logits.data, axis=1))
+        return self._fill(
+            out, examples, lambda logits: np.argmax(T.softmax(logits, axis=-1).data, axis=1)
+        )
 
     def predict_proba(self, examples: list[EncodedExample] | StackedExamples) -> np.ndarray:
         """Per-class probabilities, softmax of the logits, shape (N, C);

@@ -166,7 +166,7 @@ def pin_allocator() -> dict | None:
 
 
 def accuracy(model: ClassifierModel, examples: list[EncodedExample] | StackedExamples) -> float:
-    """Fraction of examples whose argmax logit matches the label."""
+    """Fraction of examples whose ``model.predict`` label matches their own."""
     if not len(examples):
         raise ValueError("cannot evaluate accuracy on an empty set")
     inputs = as_stacked(examples)

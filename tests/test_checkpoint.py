@@ -2,7 +2,7 @@
 equality after a save/load round trip, rejection of mismatched or
 corrupt checkpoints (also any one defect fuzzed into a saved checkpoint),
 and saves that fail part way leaving nothing that loads;
-``load_checkpoint`` and ``save_checkpoint`` pick the format."""
+``load_checkpoint`` picks the format."""
 
 import errno
 import io
@@ -21,11 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minibert.checkpoint import (
-    is_ensemble_checkpoint,
     load_checkpoint,
     load_ensemble,
     load_model,
-    save_checkpoint,
     save_ensemble,
     save_model,
 )
@@ -197,8 +195,8 @@ class TestEnsembleCheckpoint:
         )
         ensemble = EnsembleModel(members, ens_config)
         save_ensemble(ensemble, tmp_path / "ens", vocab)
-        assert is_ensemble_checkpoint(tmp_path / "ens")
-        assert not is_ensemble_checkpoint(tmp_path / "ens" / "member-00")
+        assert isinstance(load_checkpoint(tmp_path / "ens")[0], EnsembleModel)
+        assert isinstance(load_checkpoint(tmp_path / "ens" / "member-00")[0], ClassifierModel)
 
         loaded, loaded_vocab = load_ensemble(tmp_path / "ens")
         assert loaded.config.n_members == 3
@@ -263,8 +261,7 @@ class TestEnsembleCheckpoint:
 class TestEitherFormat:
     def test_model_directory_loads_a_model(self, tmp_path, setup):
         vocab, config, model = setup
-        save_checkpoint(model, tmp_path / "ckpt", vocab)
-        assert not is_ensemble_checkpoint(tmp_path / "ckpt")
+        save_model(model, tmp_path / "ckpt", vocab)
         loaded, loaded_vocab, loaded_config = load_checkpoint(tmp_path / "ckpt")
         assert isinstance(loaded, ClassifierModel)
         assert loaded_config == config
@@ -275,8 +272,7 @@ class TestEitherFormat:
     def test_ensemble_directory_loads_an_ensemble(self, tmp_path, setup):
         vocab, config, _ = setup
         ensemble = make_ensemble(config, n_members=3)
-        save_checkpoint(ensemble, tmp_path / "ens", vocab)
-        assert is_ensemble_checkpoint(tmp_path / "ens")
+        save_ensemble(ensemble, tmp_path / "ens", vocab)
         loaded, loaded_vocab, loaded_config = load_checkpoint(tmp_path / "ens")
         assert isinstance(loaded, EnsembleModel)
         assert loaded.config == ensemble.config

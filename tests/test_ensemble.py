@@ -1,8 +1,9 @@
 """Ensemble tests: voting rules against a brute-force mode oracle,
 permutation invariance, degenerate single-member ensembles, member
 diversity from distinct shuffle seeds, one forward pass per member
-per evaluation over one stacked copy of the examples, and ``evaluate``
-scoring models and ensembles alike."""
+per evaluation over one stacked copy of the examples, one label rule for
+a member's vote and its accuracy, members of the configured shape, and
+``evaluate`` scoring models and ensembles alike."""
 
 import dataclasses
 import itertools
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import minibert.model as model_module
+from minibert import tensor as T
 from minibert.corpus import SyntheticSpec, generate_synthetic
 from minibert.ensemble import (
     EnsembleConfig,
@@ -202,6 +204,27 @@ class TestTrainEnsemble:
         with pytest.raises(ConfigError, match="share one model shape"):
             EnsembleModel([init_model(model_config), init_model(other)], config)
 
+    @pytest.mark.parametrize("key, value", [("num_classes", 3), ("num_layers", 4)])
+    def test_members_must_have_the_configured_shape(self, trained_setup, key, value):
+        """Members that agree with each other are still rejected when the
+        config claims another shape, which ``evaluate`` would score."""
+        model_config, *_ = trained_setup
+        claimed = dataclasses.replace(model_config, **{key: value})
+        config = EnsembleConfig(
+            member_model_config=claimed, n_members=2, member_shuffle_seeds=[1, 2]
+        )
+        with pytest.raises(ConfigError, match="share one model shape"):
+            EnsembleModel([init_model(model_config), init_model(model_config)], config)
+
+    def test_members_may_differ_from_the_config_in_init_seed(self, trained_setup):
+        model_config, *_ = trained_setup
+        members = [init_model(dataclasses.replace(model_config, init_seed=s)) for s in (7, 8)]
+        config = EnsembleConfig(
+            member_model_config=dataclasses.replace(model_config, init_seed=99),
+            n_members=2, member_shuffle_seeds=[1, 2],
+        )
+        assert EnsembleModel(members, config).members == members
+
     def test_training_failure_names_member_index(self, trained_setup):
         from minibert.errors import TrainingError
 
@@ -264,6 +287,34 @@ class TestOnePassPrediction:
         reported = evaluate(ensemble, val_set).member_accuracies
         assert reported == [accuracy(m, val_set) for m in ensemble.members]
 
+    def test_tiny_logit_members_label_alike_in_vote_and_accuracy(
+        self, trained_setup, monkeypatch
+    ):
+        """Under average voting a member's label is its ``predict`` label,
+        also where its logits differ by less than the float32 softmax
+        resolves.  At init_scale 1e-5 and init seed 1 every member puts
+        class 1 ahead in its logits on every example, by under 4e-9, so
+        each probability row ties at 0.5 and labels class 0."""
+        model_config, *_, val_set, _ = trained_setup
+        base = dataclasses.replace(model_config, init_scale=1e-5, init_seed=1)
+        members = [init_model(base) for _ in range(3)]
+        ensemble = EnsembleModel(members, EnsembleConfig(
+            member_model_config=base, n_members=3,
+            member_shuffle_seeds=[1, 2, 3], voting="average_probability",
+        ))
+        # three in four labels are class 1
+        examples = [dataclasses.replace(e, label=int(i % 4 > 0)) for i, e in enumerate(val_set)]
+        with T.no_grad():
+            logits = members[0].logits(examples).data
+        assert np.all(logits[:, 1] > logits[:, 0])
+        assert np.all(logits[:, 1] - logits[:, 0] < 4e-9)
+
+        rows = count_forward_rows(monkeypatch)
+        evaluation = evaluate(ensemble, examples)
+        assert rows == {id(m): len(examples) for m in members}
+        assert evaluation.member_accuracies == [accuracy(m, examples) for m in members]
+        assert evaluation.member_accuracies == [0.25] * 3
+
     def test_examples_are_stacked_once(self, ensemble, trained_setup, monkeypatch):
         *_, val_set, _ = trained_setup
         stacked = []
@@ -293,6 +344,15 @@ class TestOnePassPrediction:
         with pytest.raises(ValueError, match="empty"):
             confusion_matrix(empty.member_labels[0], [], 2)
         assert not hasattr(prediction, "member_accuracies")
+
+
+class TestEnsemblePrediction:
+    def test_disagreement_count_follows_the_member_labels(self):
+        member_labels = np.array([[0, 1, 1, 0, 1], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0]])
+        prediction = EnsemblePrediction(majority_vote(member_labels), member_labels)
+        assert prediction.disagreement_count == 3
+        agreeing = EnsemblePrediction(np.array([1, 0]), np.array([[1, 0], [1, 0], [1, 0]]))
+        assert agreeing.disagreement_count == 0
 
 
 class TestEvaluate:

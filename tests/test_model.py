@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minibert.model as model_module
 from minibert import tensor as T
@@ -473,6 +475,27 @@ class TestPredict:
 
         # e.g. 128 x 8 x ff_dim 256 and 18 x 42 x (8 heads x 42) in the 3-layer model
         assert chunk_rows == {1: [156, 65, 29], 3: [128, 33, 18, 13, 10, 9, 8, 8, 8, 8, 7]}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        exponent=st.floats(min_value=-6, max_value=0),
+        seed=st.integers(0, 2**16),
+        num_classes=st.integers(2, 4),
+    )
+    def test_labels_are_the_argmax_of_the_probabilities(self, exponent, seed, num_classes):
+        """One label rule, also at scales where logits differ by less than
+        the float32 softmax resolves and its rows tie."""
+        vocab = build_vocab(["alpha beta gamma delta epsilon zeta"], max_size=24)
+        rng = np.random.default_rng(seed)
+        words = "alpha beta gamma delta epsilon zeta".split()
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 7))) for _ in range(12)]
+        model = init_model(dataclasses.replace(
+            TINY, vocab_size=len(vocab), num_classes=num_classes,
+            init_seed=seed, init_scale=10.0**exponent,
+        ))
+        examples = batch_for(texts, vocab)
+        probs = model.predict_proba(examples)
+        assert np.array_equal(model.predict(examples), np.argmax(probs, axis=1))
 
     def test_a_row_over_the_element_budget_runs_alone(self, vocab, monkeypatch):
         examples = batch_for(["alpha", "alpha beta", "alpha beta gamma delta epsilon"], vocab)
