@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .corpus import load_csv, save_csv, generate_synthetic
+from .corpus import first_label_outside, generate_synthetic, load_csv, save_csv
 from .ensemble import evaluate
 from .errors import CheckpointError, ConfigError, CorpusError, read_json
 from .evaluation import METRIC_NAMES, ConfusionMatrix, accuracy_per_minute, metrics, rounded
@@ -116,10 +116,12 @@ def _cmd_eval(args) -> None:
     checkpoint = Path(args.checkpoint)
     corpus = load_csv(args.corpus)
     predictor, vocab, config = load_checkpoint(checkpoint)
-    if corpus.num_classes > config.num_classes:
+    outside = first_label_outside(corpus, config.num_classes)
+    if outside:
+        row, label = outside
         raise CheckpointError(
-            f"corpus has {corpus.num_classes} classes but the checkpoint "
-            f"was trained for {config.num_classes}"
+            f"{args.corpus}: row {row} label {label} is outside the checkpoint's "
+            f"{config.num_classes} classes"
         )
     examples = [
         encode(text, vocab, config.max_seq_len, label) for text, label in corpus.records

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import ConfigError, CorpusError, check_types, read_input, within
 from .tokenizer import segment_text
 
+# the row number ``load_csv`` gives the first record, the row after the header
+FIRST_DATA_ROW = 2
+
 
 @dataclass
 class LabeledCorpus:
@@ -52,7 +55,7 @@ def load_csv(path: str | Path) -> LabeledCorpus:
     if header != ["text", "label"]:
         raise CorpusError(f"{path}: header must be exactly 'text,label', got {header}")
     records: list[tuple[str, int]] = []
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(reader, start=FIRST_DATA_ROW):
         if len(row) != 2:
             raise CorpusError(f"{path}: row {row_number} has {len(row)} columns, expected 2")
         text, raw_label = row
@@ -71,6 +74,16 @@ def load_csv(path: str | Path) -> LabeledCorpus:
         raise CorpusError(f"{path}: no data rows after the header")
     num_classes = max(label for _, label in records) + 1
     return LabeledCorpus(records=records, num_classes=num_classes)
+
+
+def first_label_outside(corpus: LabeledCorpus, num_classes: int) -> tuple[int, int] | None:
+    """(row, label) of the first record whose label is ``num_classes`` or
+    more, its row numbered as ``load_csv`` numbers a CSV's rows; None if
+    every label is below ``num_classes``."""
+    for index, (_, label) in enumerate(corpus.records):
+        if label >= num_classes:
+            return index + FIRST_DATA_ROW, label
+    return None
 
 
 def save_csv(corpus: LabeledCorpus, path: str | Path) -> None:

@@ -15,7 +15,14 @@ from pathlib import Path
 from typing import Annotated, TextIO
 
 from .checkpoint import save_ensemble, save_model
-from .corpus import LabeledCorpus, SyntheticSpec, generate_synthetic, load_csv, save_csv
+from .corpus import (
+    LabeledCorpus,
+    SyntheticSpec,
+    first_label_outside,
+    generate_synthetic,
+    load_csv,
+    save_csv,
+)
 from .ensemble import EnsembleConfig, Evaluation, evaluate, train_ensemble
 from .errors import (
     ConfigError, CorpusError, TrainingError, at_least, check_types, json_text, read_json,
@@ -219,10 +226,16 @@ def run_experiment(
     fresh timestamped directory.  It carries a ``.partial`` suffix until
     every report is written, so a failed run never looks finished."""
     corpus = _load_corpus(config)
-    if corpus.num_classes > config.model.num_classes:
+    classes = config.model.num_classes
+    if corpus.num_classes > classes:
+        if config.corpus_path is None:
+            raise ConfigError(
+                f"corpus has {corpus.num_classes} classes but model.num_classes is {classes}"
+            )
+        row, label = first_label_outside(corpus, classes)
         raise ConfigError(
-            f"corpus has {corpus.num_classes} classes but model.num_classes is "
-            f"{config.model.num_classes}"
+            f"{config.corpus_path}: row {row} label {label} is outside the model's "
+            f"{classes} classes (model.num_classes)"
         )
     train_records, val_records = split_dataset(
         corpus.records, config.train.split_ratio, config.train.split_seed

@@ -5,12 +5,15 @@ Residual blocks use post-layer-norm ordering.  There is no dropout; given
 fixed seeds every forward pass is bit-deterministic.
 
 Inference (under ``tensor.no_grad()``) computes only what the logits
-depend on: the last layer runs for the [CLS] query row alone, and
+depend on: the last layer runs for the [CLS] query row alone and projects
+no key or value at any position.  It folds the key weights into that
+query, scores every position against the folded query, and applies the
+value weights once to the attention-weighted sum of the layer's inputs.
 ``predict`` / ``predict_proba`` run examples shortest first in trimmed
 chunks, each sized by one element budget for its widest activation, so
 that wide texts and deep models take fewer rows per chunk, and the [CLS]
-rows' products run as one 2-D matrix product per chunk.  Logits move at
-float rounding level only, so a label can differ from the full layer's
+rows' products run as one batched matrix product per chunk.  Logits move
+at float rounding level only, so a label can differ from the full layer's
 only at a near-tie.  Training keeps every layer at every position, so
 trained weights stay bit for bit, and so does the cost of the ensemble's
 and the deep model's training steps: for a 1-layer member the last layer
@@ -181,31 +184,56 @@ class ClassifierModel:
         batch to its longest real sequence before it reaches the encoder
         without changing any result.
 
-        With ``query_rows`` R the block returns only the first R positions,
-        shape (B, R, H): keys and values still cover every position, while
-        the queries, the attention context, the output projection, both
-        layer norms and the feed-forward run on those R rows alone.
+        With ``query_rows=1`` the block returns the [CLS] position alone,
+        shape (B, 1, H), and forms no key or value at any position.  Per
+        head h, with query q_h and key and value weights k_w,h and v_w,h
+        (the head's columns), the score of position j is
+        x_j . (k_w,h q_h) + q_h . k_b,h, and the second term, the same for
+        every j, cancels in the softmax; the context is
+        (sum_j p_j x_j) v_w,h + v_b,h, as the weights p sum to one.  So
+        the block projects only the [CLS] query, and the attention, the
+        output projection, both layer norms and the feed-forward run on
+        that one row, with logits equal to the full layer's up to float
+        rounding.
         """
         cfg = self.config
         p = self.params
         pre = f"layer{layer_index}."
+        if query_rows not in (None, 1):
+            raise ValueError(f"query_rows must be None or 1, got {query_rows}")
         batch, seq, hidden = x.shape
         nh, hd = cfg.num_heads, cfg.head_dim
-        queries = x if query_rows is None else x[:, :query_rows, :]
-        rows = queries.shape[1]
+        mask = np.asarray(attention_mask, dtype=x.dtype).reshape(batch, 1, seq)
+        mask_bias = (1.0 - mask) * ATTENTION_MASK_BIAS
+        scale = 1.0 / math.sqrt(hd)
 
-        def split_heads(t: T.Tensor) -> T.Tensor:
-            return t.reshape(batch, t.shape[1], nh, hd).transpose(0, 2, 1, 3)
+        if query_rows is None:
+            queries = x
 
-        q = split_heads(T.matmul(queries, p[pre + "q_w"], p[pre + "q_b"]))
-        k = split_heads(T.matmul(x, p[pre + "k_w"], p[pre + "k_b"]))
-        v = split_heads(T.matmul(x, p[pre + "v_w"], p[pre + "v_b"]))
+            def split_heads(t: T.Tensor) -> T.Tensor:
+                return t.reshape(batch, seq, nh, hd).transpose(0, 2, 1, 3)
 
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(hd))
-        mask = np.asarray(attention_mask, dtype=x.dtype).reshape(batch, 1, 1, seq)
-        weights = T.softmax(scores, axis=-1, bias=(1.0 - mask) * ATTENTION_MASK_BIAS)
-
-        context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, rows, hidden)
+            q = split_heads(T.matmul(x, p[pre + "q_w"], p[pre + "q_b"]))
+            k = split_heads(T.matmul(x, p[pre + "k_w"], p[pre + "k_b"]))
+            v = split_heads(T.matmul(x, p[pre + "v_w"], p[pre + "v_b"]))
+            scores = (q @ k.swapaxes(-1, -2)) * scale
+            weights = T.softmax(scores, axis=-1, bias=mask_bias.reshape(batch, 1, 1, seq))
+            context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, hidden)
+        else:
+            queries = x[:, :1, :]
+            # each operand leads with its batch axis, heads or rows, so every
+            # product below is one batched matrix product
+            q = T.matmul(queries, p[pre + "q_w"], p[pre + "q_b"])
+            q = q.reshape(batch, nh, hd).transpose(1, 0, 2)
+            # (heads, hd, H) and (heads, H, hd): each head's key and value columns
+            k_w = p[pre + "k_w"].reshape(hidden, nh, hd).transpose(1, 2, 0)
+            v_w = p[pre + "v_w"].reshape(hidden, nh, hd).transpose(1, 0, 2)
+            folded = (q @ k_w).transpose(1, 0, 2)  # (B, heads, H)
+            scores = (folded @ x.transpose(0, 2, 1)) * scale
+            weights = T.softmax(scores, axis=-1, bias=mask_bias)
+            pooled = (weights @ x).transpose(1, 0, 2)  # (heads, B, H)
+            context = (pooled @ v_w).transpose(1, 0, 2).reshape(batch, 1, hidden)
+            context = context + p[pre + "v_b"]
         attended = T.matmul(context, p[pre + "out_w"], p[pre + "out_b"])
         h = T.layer_norm(queries, p[pre + "ln1_g"], p[pre + "ln1_b"], residual=attended)
 
@@ -220,8 +248,8 @@ class ClassifierModel:
         attention_mask: np.ndarray,
         last_query_rows: int | None = None,
     ) -> T.Tensor:
-        """Run the encoder stack; returns hidden states (B, S, H), or
-        (B, R, H) when the last layer computes ``last_query_rows`` R only."""
+        """Run the encoder stack; returns hidden states (B, S, H), or the
+        [CLS] row alone, (B, 1, H), when ``last_query_rows`` is 1."""
         x = self.embed(token_ids, segment_ids)
         last = self.config.num_layers - 1
         for i in range(self.config.num_layers):
@@ -272,8 +300,9 @@ class ClassifierModel:
 
         A full-width layer holds the feed-forward's ``ff_dim``, the
         ``hidden_dim`` projections and ``num_heads`` attention scores per
-        key; a lone [CLS]-only layer holds only the key and value
-        projections at every position.
+        key.  A lone [CLS]-only layer projects nothing at every position,
+        so a 1-layer model's widest per-position array is its embedding
+        sum, ``hidden_dim`` wide.
         """
         cfg = self.config
         if cfg.num_layers == 1:

@@ -419,6 +419,15 @@ class TestConfigRejectedBeforeAnyWork:
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         self.assert_rejected(tmp_path, capsys, config_path, "3 classes", "num_classes is 2")
 
+    def test_csv_label_outside_the_model_names_its_row(self, tmp_path, capsys):
+        corpus_path = tmp_path / "three.csv"
+        corpus_path.write_text("text,label\na,0\nb,1\nc,2\nd,1\n", encoding="utf-8")
+        config_path = tiny_config(tmp_path, corpus={"path": str(corpus_path)})
+        self.assert_rejected(
+            tmp_path, capsys, config_path,
+            f"{corpus_path}: row 4 label 2 is outside the model's 2 classes (model.num_classes)",
+        )
+
     def test_non_utf8_corpus_csv(self, tmp_path, capsys):
         corpus_path = tmp_path / "bad.csv"
         corpus_path.write_bytes(b"text,label\nab\xff,1\nc,0\n")
@@ -918,7 +927,7 @@ class TestEvalCommand:
         assert out == ""
         assert err == f"error: {manifest_path}: manifest.config: max_seq_len must be >= 3, got 2\n"
 
-    def assert_too_many_classes(self, completed_run, tmp_path, capsys, rows, classes):
+    def assert_too_many_classes(self, completed_run, tmp_path, capsys, rows, row, label):
         _, run_dir = completed_run
         corpus_path = tmp_path / "more.csv"
         corpus_path.write_text("text,label\n" + rows, encoding="utf-8")
@@ -926,18 +935,24 @@ class TestEvalCommand:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: corpus has {classes} classes but the checkpoint was trained for 2\n"
+        assert err == (
+            f"error: {corpus_path}: row {row} label {label} is outside the checkpoint's 2 classes\n"
+        )
 
     def test_corpus_with_more_classes_than_the_checkpoint_exits_one(
         self, completed_run, tmp_path, capsys
     ):
-        self.assert_too_many_classes(completed_run, tmp_path, capsys, "a,0\nb,1\nc,2\n", 3)
+        """The first data row is row 2, as ``load_csv`` numbers rows."""
+        self.assert_too_many_classes(
+            completed_run, tmp_path, capsys, "a,0\nb,1\nc,2\nd,3\n", 4, 2
+        )
 
     def test_unobserved_classes_below_the_largest_label_count(
         self, completed_run, tmp_path, capsys
     ):
-        """Classes count up to the largest label, observed or not."""
-        self.assert_too_many_classes(completed_run, tmp_path, capsys, "a,0\nb,3\n", 4)
+        """A label outside the checkpoint's classes is named even when the
+        classes below it are never observed."""
+        self.assert_too_many_classes(completed_run, tmp_path, capsys, "a,0\nb,5\n", 3, 5)
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_corpus_of_one_class_is_scored(self, completed_run, tmp_path, capsys, label):

@@ -396,11 +396,84 @@ class TestClsOnlyInference:
         assert np.array_equal(model.forward(ids, segs, mask).data, expected)
         assert query_rows == [None] * num_layers
 
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_folded_layer_equals_the_full_layer_with_every_bias_set(self, vocab, num_layers):
+        """``init_model`` zeroes every bias; here each parameter, the key
+        and value biases included, is random, in float64."""
+        config = dataclasses.replace(
+            TINY, vocab_size=len(vocab), num_layers=num_layers, hidden_dim=8, ff_dim=16,
+            num_classes=3,
+        )
+        model = init_model(config, dtype=np.float64)
+        model.flat[:] = np.random.default_rng(num_layers).normal(0.0, 0.5, model.flat.size)
+        texts = ["alpha", "beta gamma delta", "alpha beta gamma delta epsilon zeta", "zeta"]
+        ids, segs, mask = stack_examples(batch_for(texts, vocab))
+        assert mask.shape[1] == TINY.max_seq_len and not mask.all() and mask[2].all()
+        expected = full_layer_logits(model, ids, segs, mask)
+        with T.no_grad():
+            folded = model.forward(ids, segs, mask).data
+        np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-12)
+
+    def test_counted_work_of_the_folded_layer(self, monkeypatch):
+        """Multiply-adds of every product in a no-grad forward of a 1-layer
+        model at width 64, from the operand shapes: the [CLS] query, output,
+        feed-forward and head products per row, plus per head one fold of
+        ``k_w`` into the query, scores and a pooled input at every position,
+        and one product with ``v_w``.  Neither ``k_w`` nor ``v_w`` meets an
+        activation that holds every position."""
+        hidden, heads, ff, width, rows, classes = 64, 2, 256, 64, 5, 3
+        config = ModelConfig(
+            vocab_size=50, hidden_dim=hidden, num_heads=heads, ff_dim=ff,
+            max_seq_len=width, num_classes=classes,
+        )
+        model = init_model(config)
+        ids = np.random.default_rng(0).integers(5, 50, size=(rows, width))
+        products = []
+        matmul = T.matmul
+
+        def counting_matmul(a, b, bias=None):
+            products.append((T.as_tensor(a), T.as_tensor(b)))
+            return matmul(a, b, bias)
+
+        monkeypatch.setattr(T, "matmul", counting_matmul)
+        with T.no_grad():
+            model.forward(ids, np.zeros_like(ids), np.ones_like(ids))
+
+        def multiply_adds(a, b):
+            *lead, m, k = a.shape
+            batch = np.broadcast_shapes(tuple(lead), b.shape[:-2])
+            return math.prod(batch) * m * k * b.shape[-1]
+
+        per_row = (
+            hidden * hidden  # [CLS] query projection
+            + heads * (hidden // heads) * hidden  # k_w folded into each head's query
+            + 2 * heads * width * hidden  # scores, then the pooled input
+            + heads * hidden * (hidden // heads)  # pooled input times v_w
+            + hidden * hidden  # output projection
+            + 2 * hidden * ff  # feed-forward
+            + hidden * hidden + hidden * classes  # head
+        )
+        assert sum(multiply_adds(a, b) for a, b in products) == rows * per_row == rows * 69824
+        # each weight meets one operand: per head, the [CLS] query or the
+        # pooled input, never the (rows, width, hidden) layer input
+        for name, shape in (("k_w", (heads, rows, hidden // heads)), ("v_w", (heads, rows, hidden))):
+            weight = model.params["layer0." + name].data
+            partners = [b if np.shares_memory(a.data, weight) else a for a, b in products
+                        if np.shares_memory(a.data, weight) or np.shares_memory(b.data, weight)]
+            assert [partner.shape for partner in partners] == [shape], name
+
+    def test_query_rows_other_than_the_cls_row_are_rejected(self, vocab):
+        model = init_model(dataclasses.replace(TINY, vocab_size=len(vocab)))
+        ids, segs, mask = stack_examples(batch_for(["alpha beta"], vocab))
+        with pytest.raises(ValueError, match="query_rows must be None or 1, got 2"):
+            model.encoder_layer(model.embed(ids, segs), mask, 0, 2)
+
 
 def position_width(config, width):
     """Elements per padded position that a no-grad chunk of trimmed
-    ``width`` is charged: the widest activation of a full-width layer, or
-    the hidden projections of a lone [CLS]-only layer."""
+    ``width`` is charged: the widest activation of a full-width layer, or,
+    in a 1-layer model, whose [CLS]-only layer projects nothing at every
+    position, the embedding sum."""
     if config.num_layers == 1:
         return config.hidden_dim
     return max(config.ff_dim, config.hidden_dim, config.num_heads * width)
